@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
 from .ring import (RingContext, Series, RemainderError, BudgetError,
-                   TruncationError)
+                   TruncationError, MAX_WEIGHT_CAP)
 from .fgl import FormalGroupLaw
 from .schur import (Partition, universal_schur_s, universal_schur_p,
                     universal_schur_q, universal_hall_littlewood,
@@ -181,6 +180,8 @@ def cmd_verify(args):
             raise CliError("unknown suite %r (known: %s)"
                            % (name, ", ".join(sorted(SUITES))))
         rep = run_suite(name, **(caps if args.suite != "all" else {}))
+        if not rep.checks:
+            raise CliError("the caps select no identities of suite %s" % name)
         print(rep.summary())
         if not rep.passed:
             failed = True
@@ -193,7 +194,11 @@ def cmd_segre(args):
     n = args.n
     A = args.A if args.mode == "universal" else 0
     scalars = ("beta",) if args.mode == "multiplicative" else ()
-    cap = min(required_weight_cap(n, args.deg, args.kmin), 63)
+    cap = required_weight_cap(n, args.deg, args.kmin)
+    if cap > MAX_WEIGHT_CAP:
+        raise CliError("this window needs weight cap %d, above the packed "
+                       "maximum %d (raise --kmin or lower --deg or --n)"
+                       % (cap, MAX_WEIGHT_CAP))
     try:
         ctx = RingContext(n_x=n, m_order=A, deg_bound=args.deg,
                           scalars=scalars, m_weight_cap=cap)
@@ -366,7 +371,6 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_INVALID if exc.code not in (0, None) else EXIT_OK
-    os.environ.setdefault("COBSCHUR_THREADS", "1")
     try:
         return args.fn(args)
     except CliError as exc:

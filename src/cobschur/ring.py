@@ -544,6 +544,44 @@ class Series:
             out[nk] = c
         return Series(ctx, out, self.bound)
 
+    def signed_orbit_sum(self, signed_perms):
+        """Sum of sign * (w . self) over the given (w, sign) pairs.
+
+        Each w moves x-exponents as in ``act_permutation``.  The x-variables
+        occupy the low SLOT_BITS * n_x bits of a key, and permuting them
+        changes neither derived field, so the terms are grouped by that
+        x-part once; each permutation then re-packs every distinct x-part
+        once and adds +-c straight into a single accumulator.
+        """
+        ctx = self.ctx
+        nx = ctx.n_x
+        xmask = (1 << (SLOT_BITS * nx)) - 1
+        slot = (1 << SLOT_BITS) - 1
+        groups = {}
+        for key, c in self.terms.items():
+            xpart = key & xmask
+            groups.setdefault(xpart, []).append((key - xpart, c))
+        exps = [(tuple((xpart >> (SLOT_BITS * i)) & slot for i in range(nx)), items)
+                for xpart, items in groups.items()]
+        out = {}
+        get = out.get
+        for w, sign in signed_perms:
+            if len(w.images) != nx:
+                raise ValueError("permutation length disagrees with n_x")
+            shifts = tuple(SLOT_BITS * (j - 1) for j in w.images)
+            for e, items in exps:
+                image = sum(ei << sh for ei, sh in zip(e, shifts))
+                if sign > 0:
+                    for rest, c in items:
+                        k = rest + image
+                        out[k] = get(k, 0) + c
+                else:
+                    for rest, c in items:
+                        k = rest + image
+                        out[k] = get(k, 0) - c
+        return Series(ctx, {k: _normalize_coeff(v) for k, v in out.items() if v},
+                      self.bound)
+
     def substitute_gen(self, name, value):
         """Replace the generator ``name`` by ``value`` (rational or Series).
 

@@ -5,12 +5,15 @@ The families are all of the shape
     sum over coset representatives w of
         w . [ numerator / prod_{(i,j) in pairs} (x_i +_L conj(x_j)) ]
 
-and are evaluated by one engine: every denominator factor is split as
-(x_i - x_j) * unit, each term is moved over the full Vandermonde product
-with sign bookkeeping, the numerators are summed exactly, and the total
-is divided by the Vandermonde with repeated exact linear divisions.  A
-nonzero remainder in the final division step signals an invalid
-numerator/coset combination and raises RemainderError.
+and are evaluated by one engine.  Every denominator factor is split as
+(x_i - x_j) * unit and each term is moved over the full Vandermonde V, so
+the sum is  sum_w w.[numerator * K / V]  for one kernel K (the missing
+Vandermonde factors times the inverse pair units).  Since w.V = sign(w) V,
+the engine builds K once per spec, forms the single product
+P = numerator * K, sums sign(w) * w.P over the cosets in one fused pass,
+and divides the total by the Vandermonde with repeated exact linear
+divisions.  A nonzero remainder in the final division step signals an
+invalid numerator/coset combination and raises RemainderError.
 
 A numerator trusted to degree B yields a symmetrized value trusted to
 B - 1 - (number of Vandermonde pairs); callers size their context bound
@@ -20,19 +23,9 @@ accordingly (deg_bound = target D + pairs + 1).
 from __future__ import annotations
 
 import itertools
-import os
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
-from .ring import Series, Permutation, BudgetError, RemainderError, series_sum
-
-
-def worker_count():
-    """Worker cap from COBSCHUR_THREADS (default 1, serial evaluation)."""
-    try:
-        return max(1, int(os.environ.get("COBSCHUR_THREADS", "1")))
-    except ValueError:
-        return 1
+from .ring import Series, Permutation, BudgetError, RemainderError
 
 
 class Partition:
@@ -187,35 +180,27 @@ def _extend_permutation(ctx, var_ids, w):
     return Permutation(images)
 
 
-def _coset_kernel(fgl, spec, w, bound):
-    """Vandermonde-completion kernel for one coset representative.
+def _coset_kernel(fgl, spec, bound):
+    """Vandermonde-completion kernel of the identity coset.
 
-    sign * prod over uncovered pairs of (x_a - x_b)
-         * prod over covered pairs of unit(x_{w(i)}, x_{w(j)})^{-1},
-    truncated to the requested degree.
+    prod over non-pair positions p < q of (y_p - y_q)
+         * prod over pairs (i, j) of unit(y_i, y_j)^{-1},  y_p = x_{var_ids[p]},
+    truncated to the requested degree.  The kernel of coset w is
+    sign(w) * w.K: the permutation maps the pair units onto each other,
+    and the Vandermonde signs of the pair and non-pair factors multiply
+    to sign(w).
     """
-    ctx = fgl.ctx
     var = spec.var_ids
-    sign = 1
-    covered = set()
-    inv_units = []
-    for (i, j) in spec.pair_set:
-        a, b = var[w(i) - 1], var[w(j) - 1]
-        if a > b:
-            a, b = b, a
-            sign = -sign
-        if (a, b) in covered:
-            raise ValueError("pair set maps two pairs onto {x%d, x%d}" % (a, b))
-        covered.add((a, b))
-        inv_units.append((var[w(i) - 1], var[w(j) - 1]))
-    kernel = Series.const(ctx, 1, bound)
+    pairs = set(spec.pair_set)
+    if len(pairs) != len(spec.pair_set):
+        raise ValueError("pair set lists a pair twice: %r" % (spec.pair_set,))
+    kernel = Series.const(fgl.ctx, 1, bound)
     for (i, j) in spec.all_pairs():
-        a, b = var[i - 1], var[j - 1]
-        if (a, b) not in covered:
-            kernel = kernel * (fgl.x_gen(a) - fgl.x_gen(b))
-    for (a, b) in inv_units:
-        kernel = kernel * fgl.pair_unit_inverse(a, b).truncate(bound)
-    return kernel if sign == 1 else -kernel
+        if (i, j) not in pairs:
+            kernel = kernel * (fgl.x_gen(var[i - 1]) - fgl.x_gen(var[j - 1]))
+    for (i, j) in spec.pair_set:
+        kernel = kernel * fgl.pair_unit_inverse(var[i - 1], var[j - 1]).truncate(bound)
+    return kernel
 
 
 def symmetrize(fgl, numerator, spec):
@@ -229,30 +214,12 @@ def symmetrize(fgl, numerator, spec):
     var = spec.var_ids
     kbound = min(numerator.bound, ctx.deg_bound)
     cache = fgl._cache.setdefault("kernels", {})
-    kernels = []
-    for w in spec.reps:
-        ck = (var, spec.pair_set, w.images, kbound)
-        kernel = cache.get(ck)
-        if kernel is None:
-            kernel = _coset_kernel(fgl, spec, w, kbound)
-            cache[ck] = kernel
-        kernels.append((w, kernel))
-
-    def one_term(pair):
-        w, kernel = pair
-        wn = numerator.act_permutation(_extend_permutation(ctx, var, w))
-        return wn * kernel
-
-    nw = worker_count()
-    if nw > 1 and len(kernels) > 1:
-        # coset terms are independent pure computations; the order-
-        # preserving map plus exact left-fold keeps the result identical
-        # to the serial evaluation
-        with ThreadPoolExecutor(max_workers=nw) as pool:
-            terms = list(pool.map(one_term, kernels))
-    else:
-        terms = [one_term(p) for p in kernels]
-    total = series_sum(ctx, terms, bound=kbound)
+    ck = (var, spec.pair_set, kbound)
+    kernel = cache.get(ck)
+    if kernel is None:
+        kernel = cache[ck] = _coset_kernel(fgl, spec, kbound)
+    total = (numerator * kernel).signed_orbit_sum(
+        [(_extend_permutation(ctx, var, w), w.sign()) for w in spec.reps])
     if spec.prefactor != 1:
         total = total.scale(spec.prefactor)
     for (i, j) in spec.all_pairs():

@@ -99,6 +99,13 @@ class TestSegre:
         assert "-1" not in doc["coeffs"] and "-2" not in doc["coeffs"]
         assert doc["coeffs"]["0"] == [{"den": "1", "exps": {}, "num": "1"}]
 
+    def test_weight_cap_above_packed_maximum_rejected(self, capsys):
+        # needs weight cap 2*5 + 2*2 + 4 + 70 = 88 > 63: rejected up front
+        code, out, err = run(capsys, "segre", "--n", "2", "--kmin", "-70",
+                             "--kmax", "2")
+        assert code == EXIT_INVALID
+        assert out == "" and "weight cap 88" in err
+
 
 class TestOracle:
     def test_schur_oracle(self, capsys):
@@ -121,6 +128,11 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "hl-collapse",
                            "--max-weight", "2", "--n", "2")
         assert code == EXIT_OK
+
+    def test_cap_selecting_no_identities_rejected(self, capsys):
+        code, out, err = run(capsys, "verify", "hl-collapse", "--n", "0")
+        assert code == EXIT_INVALID
+        assert out == "" and "no identities" in err
 
     def test_failing_suite_exits_one(self, capsys):
         # the empty-partition suite carries the documented red identity

@@ -1,14 +1,17 @@
 import math
+from fractions import Fraction
 
 import pytest
 
 from cobschur import (RingContext, Series, FormalGroupLaw, Partition,
-                      SymmetrizerSpec, coset_reps, symmetrize,
+                      Permutation, RemainderError, SymmetrizerSpec,
+                      coset_reps, subgroup_elements, symmetrize,
                       factorial_power, double_factorial_power,
                       bracket_monomial, universal_schur_s, universal_schur_p,
                       universal_schur_q, universal_hall_littlewood,
                       new_universal_schur, new_universal_schur_one_row,
                       universal_schur_kl, BudgetError, oracles, series_match)
+from cobschur.schur import _coset_kernel, partial_flag_spec
 
 
 def setup(mode, n, n_b=0, A=2, D=4, scalars=()):
@@ -157,6 +160,140 @@ class TestSymmetrizeEngine:
         assert coeff({"x1": 1, "x2": 1}) == a12
         assert coeff({"b1": 1, "x1": 1, "x2": 1}) == \
             (a11 * a12).scale(2) + a13.scale(2)
+
+
+def reference_kernel(fgl, spec, w, bound):
+    """The kernel of one coset, built literally for that coset.
+
+    sign * prod over pairs not covered by w(pairs) of (x_a - x_b), a < b,
+         * prod over pairs of unit(x_{w(i)}, x_{w(j)})^{-1},
+    where sign counts the pairs that w maps onto a decreasing pair.
+    """
+    var = spec.var_ids
+    sign, covered = 1, set()
+    kernel = Series.const(fgl.ctx, 1, bound)
+    for (i, j) in spec.pair_set:
+        a, b = var[w(i) - 1], var[w(j) - 1]
+        kernel = kernel * fgl.pair_unit_inverse(a, b).truncate(bound)
+        if a > b:
+            a, b, sign = b, a, -sign
+        covered.add((a, b))
+    for (i, j) in spec.all_pairs():
+        a, b = var[i - 1], var[j - 1]
+        if (a, b) not in covered:
+            kernel = kernel * (fgl.x_gen(a) - fgl.x_gen(b))
+    return kernel if sign == 1 else -kernel
+
+
+def on_all_x(ctx, var_ids, w):
+    """The permutation of all x-variables that w induces on var_ids."""
+    images = list(range(1, ctx.n_x + 1))
+    for pos, target in enumerate(w.images, start=1):
+        images[var_ids[pos - 1] - 1] = var_ids[target - 1]
+    return Permutation(images)
+
+
+def reference_symmetrize(fgl, numerator, spec):
+    """The coset sum term by term: a kernel and a product for every coset."""
+    ctx = fgl.ctx
+    var = spec.var_ids
+    bound = min(numerator.bound, ctx.deg_bound)
+    total = Series.zero(ctx, bound)
+    for w in spec.reps:
+        wn = numerator.act_permutation(on_all_x(ctx, var, w))
+        total = total + wn * reference_kernel(fgl, spec, w, bound)
+    total = total.scale(spec.prefactor)
+    for (i, j) in spec.all_pairs():
+        total = total.exact_divide_linear(var[i - 1], var[j - 1])
+    return total
+
+
+ORBIT_MODES = {
+    "universal": ("universal", ()),
+    "universal-t": ("universal", ("t",)),
+    "multiplicative": ("multiplicative", ()),
+    "additive": ("additive", ()),
+}
+
+
+def orbit_cases(fgl):
+    """(name, spec, numerator, valid) for every spec shape on n <= 3."""
+    ctx = fgl.ctx
+    x1, x2, x3 = (fgl.x_gen(i) for i in (1, 2, 3))
+    t = Series.gen(ctx, "t") if ctx.has_gen("t") else Series.const(ctx, 3)
+    b1 = fgl.b_gen(1)
+    generic = x1 ** 2 * x2 + t * x3 * x1 - b1 * x2.scale(3) + fgl.formal_sum(x1, x3)
+    sym12 = x1 * x2 * (x3 + t) + fgl.formal_sum(x1, x2) * x3
+    sym23 = x1 ** 2 * (x2 + x3) + t * x2 * x3
+    all3 = ((1, 2), (1, 3), (2, 3))
+    full = SymmetrizerSpec((1, 2, 3), all3, coset_reps(3, (1, 1, 1)))
+    subset = SymmetrizerSpec((2, 3), ((1, 2),), coset_reps(2, (1, 1)))
+    partial = partial_flag_spec(Partition([1, 1, 0], n=3))
+    between = SymmetrizerSpec((1, 2, 3), ((2, 3),), subgroup_elements(3, (1, 2)))
+    grassmannian = SymmetrizerSpec((1, 2, 3), ((1, 2), (1, 3)),
+                                   coset_reps(3, (1, 2)))
+    kl = SymmetrizerSpec((1, 2, 3), ((1, 2), (1, 3), (2, 3)),
+                         coset_reps(3, (1, 1, 1)))
+    pq = SymmetrizerSpec((1, 2, 3), ((1, 2), (1, 3)), coset_reps(3, (1, 1, 1)),
+                         Fraction(1, 2))
+    return [
+        ("full", full, generic, True),
+        ("var_ids subset", subset, generic, True),
+        ("partial", partial, sym12, True),
+        ("partial, not invariant", partial, x1 * t + x2 ** 2, False),
+        ("between", between, generic, True),
+        ("grassmannian", grassmannian, sym23, True),
+        ("grassmannian, not invariant", grassmannian, x2 + x1 * x3, False),
+        ("kl blocks", kl, factorial_power(fgl, 1, 3) * factorial_power(fgl, 2, 1),
+         True),
+        ("p/q prefactor", pq, x1 ** 2 * fgl.formal_sum(x1, x2)
+         * fgl.formal_sum(x1, x3), True),
+    ]
+
+
+class TestCosetOrbitEngine:
+    """symmetrize (one kernel, one product, signed orbit sum) against the
+    literal per-coset sum."""
+
+    @pytest.mark.parametrize("mode_name", sorted(ORBIT_MODES))
+    def test_matches_per_coset_reference(self, mode_name):
+        mode, scalars = ORBIT_MODES[mode_name]
+        ctx, fgl = setup(mode, 3, n_b=3, D=3, scalars=scalars)
+        for name, spec, numerator, valid in orbit_cases(fgl):
+            if valid:
+                want = reference_symmetrize(fgl, numerator, spec)
+                got = symmetrize(fgl, numerator, spec)
+                assert got.terms == want.terms, name
+                assert got.bound == want.bound, name
+            else:
+                with pytest.raises(RemainderError):
+                    reference_symmetrize(fgl, numerator, spec)
+                with pytest.raises(RemainderError):
+                    symmetrize(fgl, numerator, spec)
+
+    @pytest.mark.parametrize("mode_name", sorted(ORBIT_MODES))
+    def test_coset_kernel_is_signed_image(self, mode_name):
+        mode, scalars = ORBIT_MODES[mode_name]
+        ctx, fgl = setup(mode, 3, n_b=3, D=3, scalars=scalars)
+        bound = ctx.deg_bound
+        for name, spec, _, valid in orbit_cases(fgl):
+            kernel = _coset_kernel(fgl, spec, bound)
+            for w in spec.reps:
+                image = kernel.act_permutation(on_all_x(ctx, spec.var_ids, w))
+                assert reference_kernel(fgl, spec, w, bound) == \
+                    image.scale(w.sign()), (name, w)
+
+    def test_orbit_sum_of_permuted_series(self):
+        ctx = RingContext(n_x=3, n_b=1, m_order=1, deg_bound=6)
+        f = Series.monomial(ctx, {"x1": 2, "x3": 1, "m1": 1}, 3) \
+            + Series.monomial(ctx, {"x2": 1, "b1": 1}, Fraction(-1, 2)) \
+            + Series.monomial(ctx, {"x1": 1, "x2": 1, "x3": 1})
+        signed = [(w, w.sign()) for w in coset_reps(3, (1, 1, 1))]
+        want = Series.zero(ctx)
+        for w, sign in signed:
+            want = want + f.act_permutation(w).scale(sign)
+        got = f.signed_orbit_sum(signed)
+        assert got.terms == want.terms and got.bound == f.bound
 
 
 class TestSchurFamilies:
