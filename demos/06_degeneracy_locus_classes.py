@@ -9,7 +9,7 @@ coefficient-extraction formula reproduces the direct symmetrizer.
 from cobschur import (RingContext, Series, FormalGroupLaw,
                       thom_porteous_class, kempf_laksov_class,
                       darondeau_pragacz_pushforward, required_weight_cap,
-                      SymmetrizerSpec, coset_reps, symmetrize, series_match,
+                      SymmetrizerSpec, symmetrize, series_match,
                       oracles)
 
 print(__doc__)
@@ -56,8 +56,7 @@ got = darondeau_pragacz_pushforward(wf, {exps: Series.const(wctx, 1)}, rr, n)
 sctx = RingContext(n_x=n, m_order=2, deg_bound=D + n * (n - 1) // 2 + 1)
 sf = FormalGroupLaw(sctx, "universal")
 num = Series.monomial(sctx, {"x1": exps[0], "x2": exps[1]})
-pairs = tuple((i, j) for i in range(1, rr + 1) for j in range(i + 1, n + 1))
-spec = SymmetrizerSpec((1, 2, 3), pairs, coset_reps(n, (1, 1, 1)))
+spec = SymmetrizerSpec.quotient((1,) * rr + (n - rr,))
 direct = symmetrize(sf, num, spec)
 print("coefficient extraction of x1^3 x2 equals the direct symmetrizer:",
       series_match(got, direct, deg=min(D, direct.bound))[0])

@@ -12,7 +12,7 @@ independent classical oracles and named verification suites.
 from .ring import (RingContext, Series, Permutation, RingError,
                    ContextMismatch, NotAUnit, RemainderError,
                    TruncationError, BudgetError, series_sum)
-from .fgl import FormalGroupLaw, make_context, make_fgl
+from .fgl import FormalGroupLaw
 from .schur import (Partition, SymmetrizerSpec, coset_reps,
                     subgroup_elements, symmetrize, factorial_power,
                     double_factorial_power, bracket_monomial, rho,

@@ -29,6 +29,9 @@ EXIT_VERIFY = 1
 EXIT_INVALID = 2
 EXIT_INTERNAL = 3
 
+# largest --n accepted: the symmetrizer enumerates up to n! permutations
+MAX_N = 5
+
 FAMILIES = ("schur-s", "schur-seq", "schur-p", "schur-q", "hl",
             "new-schur", "schur-kl")
 
@@ -53,6 +56,11 @@ def _parse_lambda(text, allow_sequence=False):
             raise CliError("--lambda must be weakly decreasing "
                            "(use --family schur-seq for raw sequences)")
     return parts
+
+
+def _check_n(n):
+    if n > MAX_N:
+        raise CliError("n = %d is above the limit MAX_N = %d" % (n, MAX_N))
 
 
 def _parse_rational(text):
@@ -128,6 +136,9 @@ def _emit_series(series, args, ctx):
 def cmd_compute(args):
     lam = _parse_lambda(args.lam, allow_sequence=(args.family == "schur-seq"))
     n = args.n
+    _check_n(n)
+    if args.deg < 0:
+        raise CliError("--deg must be non-negative")
     if len(lam) > n:
         raise CliError("--lambda longer than --n")
     use_b = (args.nb or 0) > 0
@@ -163,6 +174,7 @@ def cmd_verify(args):
     if args.max_weight is not None:
         caps["max_weight"] = args.max_weight
     if args.n is not None:
+        _check_n(args.n)
         if args.suite in ("hl-collapse", "additive-square",
                           "multiplicative-square", "gysin-functoriality",
                           "kempf-laksov"):
@@ -264,6 +276,10 @@ def cmd_pushforward(args):
         raise CliError("bad series JSON: %s" % exc)
     ctx = series.ctx
     n = args.n or ctx.n_x
+    _check_n(n)
+    if not 1 <= n <= ctx.n_x:
+        raise CliError("--n %d is outside 1..%d, the x-variables of the input"
+                       % (n, ctx.n_x))
     mode = args.mode
     A = ctx.m_order
     if mode == "universal" and A < 1:
@@ -287,7 +303,7 @@ def cmd_pushforward(args):
             val = grassmannian_pushforward(fgl, series, args.q, n)
         else:
             raise CliError("unknown operator %r" % (args.operator,))
-    except NotInvariant as exc:
+    except ValueError as exc:
         raise CliError(str(exc))
     if args.out == "json":
         print(json.dumps(val.to_json_dict(), sort_keys=True))

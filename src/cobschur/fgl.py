@@ -244,7 +244,7 @@ class FormalGroupLaw:
             c = self._log[k]
             if not c.is_zero():
                 lp = lp + (s ** (k - 1) * c).scale(k)
-        return lp.with_bound(ctx.deg_bound - 1).invert_unit()
+        return lp.truncate(ctx.deg_bound - 1).invert_unit()
 
     # -- specialization ---------------------------------------------------
 
@@ -291,25 +291,3 @@ def _rebuild(series, target_ctx):
     return Series(target_ctx, {k: v for k, v in out.items() if v != 0},
                   min(series.bound, target_ctx.deg_bound))
 
-
-def make_context(mode, n_x, n_b=0, m_order=2, deg_bound=6, margin=0,
-                 with_t=False, aux=(), m_weight_cap=None, t_bound=63):
-    """Convenience constructor sizing the working bound D + margin."""
-    scalars = []
-    if with_t:
-        scalars.append("t")
-    if mode == "multiplicative":
-        scalars.append("beta")
-    A = m_order if mode == "universal" else 0
-    return RingContext(n_x=n_x, n_b=n_b, m_order=A,
-                       deg_bound=deg_bound + margin, scalars=tuple(scalars),
-                       aux=aux, m_weight_cap=m_weight_cap, t_bound=t_bound)
-
-
-def make_fgl(mode, n_x, n_b=0, m_order=2, deg_bound=6, margin=0,
-             with_t=False, aux=(), custom_log_coeffs=None,
-             m_weight_cap=None, t_bound=63):
-    ctx = make_context(mode if mode != "custom" else "custom",
-                       n_x, n_b, m_order, deg_bound, margin, with_t, aux,
-                       m_weight_cap, t_bound)
-    return ctx, FormalGroupLaw(ctx, mode, custom_log_coeffs)

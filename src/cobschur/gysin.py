@@ -14,12 +14,13 @@ are capped by the context.
 from __future__ import annotations
 
 import json
+import math
+from fractions import Fraction
 
 from .ring import Series, Permutation, RingError
-from .schur import (SymmetrizerSpec, Partition, coset_reps, subgroup_elements,
-                    symmetrize, partial_flag_spec, factorial_power,
-                    bracket_monomial, new_universal_schur, universal_schur_kl,
-                    rho)
+from .schur import (SymmetrizerSpec, Partition, coset_reps, symmetrize,
+                    factorial_power, bracket_monomial, new_universal_schur,
+                    universal_schur_kl, rho)
 
 
 class WindowExhausted(RingError):
@@ -53,9 +54,7 @@ def _check_block_invariance(f, blocks):
 
 def pushforward_full_flag(fgl, f, n):
     """sum over all of S_n of w . [f / prod_{i<j} (x_i +_L conj(x_j))]."""
-    pairs = tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
-    spec = SymmetrizerSpec(tuple(range(1, n + 1)), pairs, coset_reps(n, (1,) * n))
-    return symmetrize(fgl, f, spec)
+    return symmetrize(fgl, f, SymmetrizerSpec.quotient((1,) * n))
 
 
 def pushforward_partial_flag(fgl, f, lam, n, check=True):
@@ -63,19 +62,13 @@ def pushforward_partial_flag(fgl, f, lam, n, check=True):
     lam = lam if isinstance(lam, Partition) else Partition(lam, n=n)
     if check:
         _check_block_invariance(f, lam.block_sizes)
-    return symmetrize(fgl, f, partial_flag_spec(lam))
+    return symmetrize(fgl, f, SymmetrizerSpec.quotient(lam.block_sizes))
 
 
 def pushforward_between_flags(fgl, f, lam, n):
     """Blockwise symmetrization: sum over prod_r S_{m_r} with in-block pairs."""
     lam = lam if isinstance(lam, Partition) else Partition(lam, n=n)
-    pairs = tuple((i, j)
-                  for r in range(1, len(lam.block_sizes) + 1)
-                  for i in range(lam.nu[r - 1] + 1, lam.nu[r] + 1)
-                  for j in range(i + 1, lam.nu[r] + 1))
-    spec = SymmetrizerSpec(tuple(range(1, n + 1)), pairs,
-                           subgroup_elements(n, lam.block_sizes))
-    return symmetrize(fgl, f, spec)
+    return symmetrize(fgl, f, SymmetrizerSpec.subgroup(lam.block_sizes))
 
 
 def grassmannian_pushforward(fgl, f, q, n, check=True):
@@ -83,11 +76,8 @@ def grassmannian_pushforward(fgl, f, q, n, check=True):
     if not 1 <= q <= n:
         raise ValueError("q out of range")
     if check:
-        _check_block_invariance(f, (q, n - q) if q < n else (n,))
-    pairs = tuple((i, j) for i in range(1, q + 1) for j in range(q + 1, n + 1))
-    blocks = (q, n - q) if q < n else (n,)
-    spec = SymmetrizerSpec(tuple(range(1, n + 1)), pairs, coset_reps(n, blocks))
-    return symmetrize(fgl, f, spec)
+        _check_block_invariance(f, (q, n - q))
+    return symmetrize(fgl, f, SymmetrizerSpec.quotient((q, n - q)))
 
 
 # ---------------------------------------------------------------------------
@@ -482,8 +472,9 @@ def kempf_laksov_class(fgl, lam, d, n):
     """Kempf-Laksov resolution class over a rank-d bundle inside rank n.
 
     Evaluates the partial-flag pushforward of [y|b]^{lam+rho_{r-1}+(d-r)^r}
-    and the explicit coset sum, plus the Damon variant (pushforward of the
-    block monomial) against the Damon-type function; all paths must agree.
+    against the literal full S_d sum and the Kempf-Laksov-type family, plus
+    the Damon variant (pushforward of the block monomial) against the
+    Damon-type function; all paths must agree.
     """
     ctx = fgl.ctx
     lam = lam if isinstance(lam, Partition) else Partition(lam)
@@ -500,10 +491,12 @@ def kempf_laksov_class(fgl, lam, d, n):
             fgl, i, lam.parts[i - 1] + d - i, 0, b_vals)
     stair = Partition(rho(rr), n=d)
     path1 = pushforward_partial_flag(fgl, numerator, stair, d)
-    pairs = tuple((i, j) for i in range(1, rr + 1) for j in range(i + 1, d + 1))
-    blocks = (1,) * rr + ((d - rr,) if d > rr else ())
-    spec = SymmetrizerSpec(tuple(range(1, d + 1)), pairs, coset_reps(d, blocks))
-    path2 = symmetrize(fgl, numerator, spec)
+    # independent of the coset reduction: the literal full S_d sum, which
+    # counts each coset (d - rr)! times
+    kl_pairs = SymmetrizerSpec.quotient((1,) * rr + (d - rr,)).pair_set
+    full_sum = SymmetrizerSpec(range(1, d + 1), kl_pairs, coset_reps(d, (1,) * d))
+    path2 = symmetrize(fgl, numerator, full_sum).scale(
+        Fraction(1, math.factorial(d - rr)))
     kl_family = universal_schur_kl(fgl, lam, d, b_values=b_vals)
 
     kappa = VerifiedClass("kempf-laksov(%r,d=%d,n=%d)" % (list(lam.parts[:rr]), d, n),

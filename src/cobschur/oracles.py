@@ -147,7 +147,7 @@ def schur_p_polynomial(ctx, nu, n):
 
 
 def schur_q_polynomial(ctx, nu, n):
-    """Classical Schur Q via the prefactored full sum with doubled head.
+    """Classical Schur Q via the full S_n sum with a doubled head.
 
     (1/(n-k)!) sum over w of w.[2^k x^nu prod_{i<=k, i<j<=n}
     (x_i + x_j)/(x_i - x_j)]; implemented with its own sign bookkeeping,

@@ -63,10 +63,8 @@ class BudgetError(RingError):
 
 
 def _normalize_coeff(c):
-    if isinstance(c, Fraction):
-        if c.denominator == 1:
-            return int(c)
-        return c
+    if type(c) is Fraction and c.denominator == 1:
+        return c.numerator
     return c
 
 
@@ -497,9 +495,6 @@ class Series:
         t = {k: c for k, c in self.terms.items() if ctx.key_deg(k) <= d}
         return Series(ctx, t, min(self.bound, d))
 
-    def with_bound(self, d):
-        return self.truncate(d)
-
     def graded_component(self, d):
         """Terms of graded total degree d (deg m_i = -i, deg beta = -1)."""
         ctx = self.ctx
@@ -764,7 +759,7 @@ class Series:
 
 
 def series_sum(ctx, items, bound=None):
-    """Exact left-fold sum; deterministic regardless of worker scheduling."""
+    """Exact left-fold sum of the items, in order."""
     acc = Series.zero(ctx, ctx.deg_bound if bound is None else bound)
     for s in items:
         acc = acc + s

@@ -23,7 +23,6 @@ accordingly (deg_bound = target D + pairs + 1).
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 from .ring import Series, Permutation, BudgetError, RemainderError
 
@@ -150,14 +149,21 @@ def subgroup_elements(n, blocks):
 
 
 class SymmetrizerSpec:
-    """Denominator pairs, coset representatives and an optional prefactor.
+    """Denominator pairs and the permutations the symmetrizer sums over.
 
     ``var_ids`` lists the symmetrized x-variable indices (1-based); pairs
     and permutations refer to positions within this list, so the same
     engine serves operators acting on a subset of the variables.
+
+    Every family and pushforward is built from a block composition
+    (m_1, ..., m_d) of the positions by one of two constructors:
+    ``quotient`` sums over the cosets of S_n modulo the Young subgroup
+    S_{m_1} x ... x S_{m_d} with the pairs across blocks, and
+    ``subgroup`` sums over the Young subgroup itself with the pairs
+    inside each block.
     """
 
-    def __init__(self, var_ids, pair_set, reps, prefactor=1):
+    def __init__(self, var_ids, pair_set, reps):
         self.var_ids = tuple(var_ids)
         self.pair_set = tuple(sorted(pair_set))
         n = len(self.var_ids)
@@ -165,11 +171,38 @@ class SymmetrizerSpec:
             if not (1 <= i < j <= n):
                 raise ValueError("pair (%d, %d) out of range" % (i, j))
         self.reps = list(reps)
-        self.prefactor = prefactor
+
+    @classmethod
+    def quotient(cls, blocks, var_ids=None):
+        """Cosets of S_n / Young(blocks), pairs whose positions lie in
+        different blocks; zero-size blocks are dropped."""
+        blocks, pairs = _block_pairs(blocks, across=True)
+        n = sum(blocks)
+        var_ids = range(1, n + 1) if var_ids is None else var_ids
+        return cls(var_ids, pairs, coset_reps(n, blocks))
+
+    @classmethod
+    def subgroup(cls, blocks):
+        """Every element of Young(blocks), pairs inside each block."""
+        blocks, pairs = _block_pairs(blocks, across=False)
+        n = sum(blocks)
+        return cls(range(1, n + 1), pairs, subgroup_elements(n, blocks))
 
     def all_pairs(self):
         n = len(self.var_ids)
         return tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
+
+
+def _block_pairs(blocks, across):
+    """Nonzero blocks and the position pairs across (or inside) them."""
+    if any(m < 0 for m in blocks):
+        raise ValueError("block sizes must be non-negative: %r" % (tuple(blocks),))
+    blocks = tuple(m for m in blocks if m)
+    block_of = [r for r, m in enumerate(blocks) for _ in range(m)]
+    n = len(block_of)
+    pairs = tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+                  if (block_of[i - 1] != block_of[j - 1]) == across)
+    return blocks, pairs
 
 
 def _extend_permutation(ctx, var_ids, w):
@@ -220,8 +253,6 @@ def symmetrize(fgl, numerator, spec):
         kernel = cache[ck] = _coset_kernel(fgl, spec, kbound)
     total = (numerator * kernel).signed_orbit_sum(
         [(_extend_permutation(ctx, var, w), w.sign()) for w in spec.reps])
-    if spec.prefactor != 1:
-        total = total.scale(spec.prefactor)
     for (i, j) in spec.all_pairs():
         total = total.exact_divide_linear(var[i - 1], var[j - 1])
     return total
@@ -297,12 +328,6 @@ def rho(n):
 # the universal families
 
 
-def _full_spec(n, var_ids=None):
-    var_ids = tuple(range(1, n + 1)) if var_ids is None else tuple(var_ids)
-    pairs = tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
-    return SymmetrizerSpec(var_ids, pairs, coset_reps(n, (1,) * n))
-
-
 def universal_schur_s(fgl, lam, n, use_b=False, var_ids=None, b_shift=0,
                       b_values=None):
     """The factorial Schur-type series: full symmetrization of [x|b]^{lam+rho}.
@@ -332,7 +357,8 @@ def universal_schur_s(fgl, lam, n, use_b=False, var_ids=None, b_shift=0,
             numerator = numerator * factorial_power(fgl, i, k, b_shift, b_values)
         else:
             numerator = numerator * fgl.x_gen(i) ** k
-    return symmetrize(fgl, numerator, _full_spec(n, var_ids))
+    return symmetrize(fgl, numerator,
+                      SymmetrizerSpec.quotient((1,) * n, var_ids))
 
 
 def _pq_series(fgl, nu, n, use_b, doubled):
@@ -357,13 +383,10 @@ def _pq_series(fgl, nu, n, use_b, doubled):
         xi = fgl.x_gen(i)
         for j in range(i + 1, n + 1):
             numerator = numerator * fgl.formal_sum(xi, fgl.x_gen(j))
-    # literal full-S_n sum with the exact scalar prefactor 1/(n-k)!
-    pairs = tuple((i, j) for i in range(1, k + 1) for j in range(i + 1, n + 1))
-    import math
-    spec = SymmetrizerSpec(tuple(range(1, n + 1)), pairs,
-                           coset_reps(n, (1,) * n),
-                           Fraction(1, math.factorial(n - k)))
-    return symmetrize(fgl, numerator, spec)
+    # numerator and kernel are both sign-alternating under S_{n-k} on the
+    # last block, so the full S_n sum is (n-k)! times this coset sum
+    return symmetrize(fgl, numerator,
+                      SymmetrizerSpec.quotient((1,) * k + (n - k,)))
 
 
 def universal_schur_p(fgl, nu, n, use_b=False):
@@ -372,13 +395,6 @@ def universal_schur_p(fgl, nu, n, use_b=False):
 
 def universal_schur_q(fgl, nu, n, use_b=False):
     return _pq_series(fgl, nu, n, use_b, doubled=True)
-
-
-def partial_flag_spec(lam):
-    """Coset symmetrizer data for the stabilizer quotient of lam."""
-    pairs = lam.pair_positions()
-    return SymmetrizerSpec(tuple(range(1, lam.n + 1)), pairs,
-                           coset_reps(lam.n, lam.block_sizes))
 
 
 def universal_hall_littlewood(fgl, lam, n):
@@ -396,7 +412,7 @@ def universal_hall_littlewood(fgl, lam, n):
             tj = fgl.t_series(fgl.x_inverse(j))
             cache[j] = tj
         numerator = numerator * fgl.formal_sum(fgl.x_gen(i), tj)
-    return symmetrize(fgl, numerator, partial_flag_spec(lam))
+    return symmetrize(fgl, numerator, SymmetrizerSpec.quotient(lam.block_sizes))
 
 
 def new_universal_schur(fgl, lam, n, use_b=False, b_values=None):
@@ -408,7 +424,7 @@ def new_universal_schur(fgl, lam, n, use_b=False, b_values=None):
             raise BudgetError("needs n_b >= %d (have %d)" % (budget, fgl.ctx.n_b))
     vals = b_values if (use_b or b_values is not None) else []
     numerator = bracket_monomial(fgl, lam, vals)
-    return symmetrize(fgl, numerator, partial_flag_spec(lam))
+    return symmetrize(fgl, numerator, SymmetrizerSpec.quotient(lam.block_sizes))
 
 
 def new_universal_schur_one_row(fgl, k, n):
@@ -416,10 +432,7 @@ def new_universal_schur_one_row(fgl, k, n):
     if k < 1 - n:
         raise ValueError("one-row index must satisfy k >= 1 - n")
     numerator = fgl.x_gen(1) ** (k + n - 1) if k + n - 1 > 0 else Series.const(fgl.ctx, 1)
-    pairs = tuple((1, j) for j in range(2, n + 1))
-    spec = SymmetrizerSpec(tuple(range(1, n + 1)), pairs,
-                           coset_reps(n, (1, n - 1) if n > 1 else (1,)))
-    return symmetrize(fgl, numerator, spec)
+    return symmetrize(fgl, numerator, SymmetrizerSpec.quotient((1, n - 1)))
 
 
 def universal_schur_kl(fgl, lam, n, use_b=False, b_values=None):
@@ -437,7 +450,5 @@ def universal_schur_kl(fgl, lam, n, use_b=False, b_values=None):
     for i in range(1, r + 1):
         k = lam.parts[i - 1] + n - i
         numerator = numerator * factorial_power(fgl, i, k, 0, vals)
-    pairs = tuple((i, j) for i in range(1, r + 1) for j in range(i + 1, n + 1))
-    blocks = (1,) * r + ((n - r,) if n > r else ())
-    spec = SymmetrizerSpec(tuple(range(1, n + 1)), pairs, coset_reps(n, blocks))
-    return symmetrize(fgl, numerator, spec)
+    return symmetrize(fgl, numerator,
+                      SymmetrizerSpec.quotient((1,) * r + (n - r,)))

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from cobschur.cli import main, EXIT_OK, EXIT_VERIFY, EXIT_INVALID
+from cobschur.cli import main, EXIT_OK, EXIT_VERIFY, EXIT_INVALID, MAX_N
 from cobschur import RingContext, Series
 
 
@@ -73,6 +73,19 @@ class TestCompute:
         # with m1 = 1 the degree-2 correction a_{1,1} x1 x2 becomes -2 x1 x2
         assert out.strip() == "x1 + x2 - 2*x1*x2"
 
+    def test_negative_degree_rejected(self, capsys):
+        code, out, err = run(capsys, "compute", "--family", "schur-kl",
+                             "--n", "2", "--lambda", "3,1", "--deg", "-1")
+        assert code == EXIT_INVALID
+        assert out == "" and err.startswith("error:") and "--deg" in err
+
+    @pytest.mark.parametrize("n", ["7", "1000"])
+    def test_n_above_limit_rejected(self, capsys, n):
+        code, out, err = run(capsys, "compute", "--family", "schur-s",
+                             "--n", n, "--deg", "3", "--lambda", "1")
+        assert code == EXIT_INVALID
+        assert out == "" and "MAX_N = %d" % MAX_N in err
+
     def test_thread_cap_is_deterministic(self, capsys, monkeypatch):
         args = ("compute", "--family", "schur-s", "--lambda", "2,1",
                 "--n", "3", "--deg", "3", "--out", "json")
@@ -134,6 +147,12 @@ class TestVerify:
         assert code == EXIT_INVALID
         assert out == "" and "no identities" in err
 
+    @pytest.mark.parametrize("n", ["7", "1000"])
+    def test_n_above_limit_rejected(self, capsys, n):
+        code, out, err = run(capsys, "verify", "hl-collapse", "--n", n)
+        assert code == EXIT_INVALID
+        assert out == "" and "MAX_N = %d" % MAX_N in err
+
     def test_failing_suite_exits_one(self, capsys):
         # the empty-partition suite carries the documented red identity
         code, out, _ = run(capsys, "verify", "empty-partition")
@@ -169,3 +188,20 @@ class TestPushforward:
         code, _, err = run(capsys, "pushforward", "--input", str(path),
                            "--operator", "grassmannian")
         assert code == EXIT_INVALID
+
+    @pytest.mark.parametrize("argv", [
+        ("--operator", "full-flag", "--n", "3"),
+        ("--operator", "grassmannian", "--n", "2", "--q", "3"),
+        ("--operator", "partial-flag", "--n", "2", "--lambda", "1,1,1"),
+        ("--operator", "full-flag", "--n", "7"),
+    ])
+    def test_bad_operator_input_rejected(self, capsys, tmp_path, argv):
+        code, out, _ = run(capsys, "compute", "--family", "schur-s", "--n", "2",
+                           "--lambda", "1", "--deg", "3", "--out", "json")
+        assert code == EXIT_OK
+        path = tmp_path / "f.json"
+        path.write_text(out)
+        code, out, err = run(capsys, "pushforward", "--input", str(path), *argv)
+        assert code == EXIT_INVALID
+        assert out == "" and err.startswith("error:")
+        assert len(err.strip().splitlines()) == 1

@@ -10,8 +10,9 @@ from cobschur import (RingContext, Series, FormalGroupLaw, Partition,
                       bracket_monomial, universal_schur_s, universal_schur_p,
                       universal_schur_q, universal_hall_littlewood,
                       new_universal_schur, new_universal_schur_one_row,
-                      universal_schur_kl, BudgetError, oracles, series_match)
-from cobschur.schur import _coset_kernel, partial_flag_spec
+                      universal_schur_kl, BudgetError, oracles, series_match,
+                      partitions_up_to)
+from cobschur.schur import _coset_kernel
 
 
 def setup(mode, n, n_b=0, A=2, D=4, scalars=()):
@@ -202,7 +203,6 @@ def reference_symmetrize(fgl, numerator, spec):
     for w in spec.reps:
         wn = numerator.act_permutation(on_all_x(ctx, var, w))
         total = total + wn * reference_kernel(fgl, spec, w, bound)
-    total = total.scale(spec.prefactor)
     for (i, j) in spec.all_pairs():
         total = total.exact_divide_linear(var[i - 1], var[j - 1])
     return total
@@ -228,14 +228,13 @@ def orbit_cases(fgl):
     all3 = ((1, 2), (1, 3), (2, 3))
     full = SymmetrizerSpec((1, 2, 3), all3, coset_reps(3, (1, 1, 1)))
     subset = SymmetrizerSpec((2, 3), ((1, 2),), coset_reps(2, (1, 1)))
-    partial = partial_flag_spec(Partition([1, 1, 0], n=3))
+    partial = SymmetrizerSpec.quotient(Partition([1, 1, 0], n=3).block_sizes)
     between = SymmetrizerSpec((1, 2, 3), ((2, 3),), subgroup_elements(3, (1, 2)))
     grassmannian = SymmetrizerSpec((1, 2, 3), ((1, 2), (1, 3)),
                                    coset_reps(3, (1, 2)))
     kl = SymmetrizerSpec((1, 2, 3), ((1, 2), (1, 3), (2, 3)),
                          coset_reps(3, (1, 1, 1)))
-    pq = SymmetrizerSpec((1, 2, 3), ((1, 2), (1, 3)), coset_reps(3, (1, 1, 1)),
-                         Fraction(1, 2))
+    pq = SymmetrizerSpec.quotient((1, 2))
     return [
         ("full", full, generic, True),
         ("var_ids subset", subset, generic, True),
@@ -246,7 +245,7 @@ def orbit_cases(fgl):
         ("grassmannian, not invariant", grassmannian, x2 + x1 * x3, False),
         ("kl blocks", kl, factorial_power(fgl, 1, 3) * factorial_power(fgl, 2, 1),
          True),
-        ("p/q prefactor", pq, x1 ** 2 * fgl.formal_sum(x1, x2)
+        ("p/q coset form", pq, x1 ** 2 * fgl.formal_sum(x1, x2)
          * fgl.formal_sum(x1, x3), True),
     ]
 
@@ -296,6 +295,100 @@ class TestCosetOrbitEngine:
         assert got.terms == want.terms and got.bound == f.bound
 
 
+
+def pq_numerator(fgl, nu, n, use_b, doubled):
+    """The P/Q numerator [x|b]^nu (or its doubled-head form) times
+    prod_{i <= k, i < j <= n} (x_i +_L x_j), built term by term."""
+    vals = None if use_b else []
+    numerator = Series.const(fgl.ctx, 1)
+    for i, p in enumerate(nu, start=1):
+        if doubled:
+            numerator = numerator * double_factorial_power(fgl, i, p, vals)
+        else:
+            numerator = numerator * factorial_power(fgl, i, p, 0, vals)
+    for i in range(1, len(nu) + 1):
+        for j in range(i + 1, n + 1):
+            numerator = numerator * fgl.formal_sum(fgl.x_gen(i), fgl.x_gen(j))
+    return numerator
+
+
+class TestPQCosetForm:
+    """P/Q sum over S_n / S_{n-k}; the full S_n sum counts each coset
+    (n-k)! times, so it is the reference once scaled by 1/(n-k)!."""
+
+    @pytest.mark.parametrize("mode_name", sorted(ORBIT_MODES))
+    def test_matches_scaled_full_sum(self, mode_name):
+        mode, scalars = ORBIT_MODES[mode_name]
+        for n in (1, 2, 3):
+            ctx, fgl = setup(mode, n, n_b=3, D=3, scalars=scalars)
+            for nu in ([], [1], [3], [2, 1], [3, 1]):
+                if len(nu) > n:
+                    continue
+                k = len(nu)
+                pairs = [(i, j) for i in range(1, k + 1) for j in range(i + 1, n + 1)]
+                full = SymmetrizerSpec(range(1, n + 1), pairs,
+                                       coset_reps(n, (1,) * n))
+                for use_b in (False, True):
+                    for doubled, family in ((False, universal_schur_p),
+                                            (True, universal_schur_q)):
+                        case = (n, nu, use_b, doubled)
+                        want = reference_symmetrize(
+                            fgl, pq_numerator(fgl, nu, n, use_b, doubled), full
+                        ).scale(Fraction(1, math.factorial(n - k)))
+                        got = family(fgl, nu, n, use_b=use_b)
+                        assert got.terms == want.terms, case
+                        assert got.bound == want.bound, case
+
+
+class TestSpecConstructors:
+    """quotient and subgroup against the literal pair lists and
+    permutation lists of every spec shape."""
+
+    @staticmethod
+    def literal_specs(n):
+        """(name, spec, pairs, reps) with pairs and reps written out."""
+        Q, S = SymmetrizerSpec.quotient, SymmetrizerSpec.subgroup
+        out = [("full", Q((1,) * n),
+                [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)],
+                coset_reps(n, (1,) * n)),
+               ("one-row", Q((1, n - 1)), [(1, j) for j in range(2, n + 1)],
+                coset_reps(n, (1, n - 1) if n > 1 else (1,)))]
+        for q in range(1, n + 1):
+            out.append(("grassmannian(%d)" % q, Q((q, n - q)),
+                        [(i, j) for i in range(1, q + 1) for j in range(q + 1, n + 1)],
+                        coset_reps(n, (q, n - q) if q < n else (n,))))
+        for r in range(0, n + 1):
+            out.append(("kl(%d)" % r, Q((1,) * r + (n - r,)),
+                        [(i, j) for i in range(1, r + 1) for j in range(i + 1, n + 1)],
+                        coset_reps(n, (1,) * r + ((n - r,) if n > r else ()))))
+        for parts in partitions_up_to(3, n):
+            lam = Partition(parts, n=n)
+            out.append(("partial(%r)" % parts, Q(lam.block_sizes),
+                        lam.pair_positions(), coset_reps(n, lam.block_sizes)))
+            inside = [(i, j) for r in range(1, len(lam.block_sizes) + 1)
+                      for i in range(lam.nu[r - 1] + 1, lam.nu[r] + 1)
+                      for j in range(i + 1, lam.nu[r] + 1)]
+            out.append(("between(%r)" % parts, S(lam.block_sizes), inside,
+                        subgroup_elements(n, lam.block_sizes)))
+        return out
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_match_literal_specs(self, n):
+        for name, spec, pairs, reps in self.literal_specs(n):
+            assert spec.var_ids == tuple(range(1, n + 1)), name
+            assert spec.pair_set == tuple(sorted(pairs)), name
+            assert [w.images for w in spec.reps] == \
+                [w.images for w in reps], name
+
+    def test_quotient_on_a_variable_subset(self):
+        spec = SymmetrizerSpec.quotient((1, 1), var_ids=(2, 3))
+        assert spec.var_ids == (2, 3) and spec.pair_set == ((1, 2),)
+        assert len(spec.reps) == 2
+
+    def test_negative_block_rejected(self):
+        with pytest.raises(ValueError):
+            SymmetrizerSpec.quotient((1, -1))
+
 class TestSchurFamilies:
     def test_additive_matches_classical(self):
         ctx, fgl = setup("additive", 3, D=4)
@@ -333,7 +426,7 @@ class TestSchurFamilies:
             universal_schur_p(fgl, [2, 2], 2)
 
     def test_prefactor_is_exact(self):
-        # the full-sum evaluation carries 1/(n-k)! as an exact rational
+        # the coset-form evaluation is exact on a k < n strict partition
         ctx, fgl = setup("additive", 3, D=3)
         got = universal_schur_p(fgl, [1], 3)
         assert got == oracles.monomial_symmetric(ctx, [1], 3).truncate(got.bound)
