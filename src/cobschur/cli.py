@@ -97,8 +97,11 @@ def _build_setup(args, n, lam, with_t=False):
     if mode == "multiplicative":
         scalars.append("beta")
     try:
+        # every family is homogeneous of degree |lambda| >= 0, so weight
+        # above --deg never reaches the output (gysin.required_weight_cap)
         ctx = RingContext(n_x=n, n_b=n_b, m_order=A,
-                          deg_bound=args.deg + margin, scalars=tuple(scalars))
+                          deg_bound=args.deg + margin, scalars=tuple(scalars),
+                          m_weight_cap=args.deg)
     except ValueError as exc:
         raise CliError(str(exc))
     custom = None
@@ -136,6 +139,8 @@ def _emit_series(series, args, ctx):
 def cmd_compute(args):
     lam = _parse_lambda(args.lam, allow_sequence=(args.family == "schur-seq"))
     n = args.n
+    if n < 1:
+        raise CliError("--n must be at least 1")
     _check_n(n)
     if args.deg < 0:
         raise CliError("--deg must be non-negative")
@@ -203,13 +208,16 @@ def cmd_verify(args):
 def cmd_segre(args):
     if args.kmin > args.kmax:
         raise CliError("--kmin exceeds --kmax")
+    if args.mode == "custom":
+        raise CliError("segre windows need a graded mode (universal, additive "
+                       "or multiplicative), not --mode custom")
     n = args.n
     A = args.A if args.mode == "universal" else 0
     scalars = ("beta",) if args.mode == "multiplicative" else ()
     cap = required_weight_cap(n, args.deg, args.kmin)
     if cap > MAX_WEIGHT_CAP:
         raise CliError("this window needs weight cap %d, above the packed "
-                       "maximum %d (raise --kmin or lower --deg or --n)"
+                       "maximum %d (raise --kmin or lower --deg)"
                        % (cap, MAX_WEIGHT_CAP))
     try:
         ctx = RingContext(n_x=n, m_order=A, deg_bound=args.deg,
@@ -230,6 +238,7 @@ def cmd_oracle(args):
     from . import oracles
     lam = _parse_lambda(args.lam)
     n = args.n
+    _check_n(n)
     scalars = ["t"]
     if args.family == "grothendieck":
         scalars.append("beta")

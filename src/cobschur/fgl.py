@@ -22,7 +22,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .ring import RingContext, Series, TruncationError, ContextMismatch
+from .ring import (RingContext, Series, TruncationError, ContextMismatch,
+                   MAX_DEG_BOUND)
 
 MODES = ("universal", "additive", "multiplicative", "custom")
 
@@ -135,9 +136,6 @@ class FormalGroupLaw:
         """The unique series with a +_L inverse(a) = 0."""
         return self.exponential(-self.logarithm(a))
 
-    def formal_difference(self, a, b):
-        return self.formal_sum(a, self.formal_inverse(b))
-
     def n_series(self, n, a):
         if not isinstance(n, int):
             raise ValueError("n must be an integer")
@@ -193,26 +191,31 @@ class FormalGroupLaw:
 
     # -- coefficients of F ---------------------------------------------------
 
-    def _scratch(self, total_degree, wcap=None):
-        ctx = self.ctx
-        wcap = max(total_degree, ctx.m_weight_cap) if wcap is None else wcap
-        sc = RingContext(
-            n_x=0, n_b=0, m_order=ctx.m_order,
-            deg_bound=min(total_degree, 60), scalars=ctx.scalars,
-            aux=("u", "v"), m_weight_cap=min(wcap, 63), t_bound=ctx.t_bound)
-        return sc, FormalGroupLaw(sc, self.mode, self._custom)
+    def _f_table(self, conj_v=False):
+        """F(u, v), or F(u, conj(v)), over this law's scratch ring in u, v.
 
-    def _f_table(self, total_degree):
-        """Two-variable sum F(u, v) on a scratch context, cached by degree."""
-        if total_degree > 60:
-            raise TruncationError("requested F-table degree too large")
-        cached = self._cache.get("ftable")
-        if cached is not None and cached[0] >= total_degree:
-            return cached[1], cached[2]
-        sc, fg = self._scratch(total_degree)
-        F = fg.formal_sum(Series.gen(sc, "u"), Series.gen(sc, "v"))
-        self._cache["ftable"] = (total_degree, sc, F)
-        return sc, F
+        The scratch ring and its law are built once, on first use, at
+        (u, v)-degree W + 1 (at most 60) for the weight cap W: a_{p,q} has
+        weight p + q - 1, so every coefficient the cap keeps has
+        p + q <= W + 1.
+        """
+        key = ("ftable", conj_v)
+        if key not in self._cache:
+            fg = self._cache.get("scratch")
+            if fg is None:
+                ctx = self.ctx
+                sc = RingContext(
+                    n_x=0, n_b=0, m_order=ctx.m_order,
+                    deg_bound=min(ctx.m_weight_cap + 1, MAX_DEG_BOUND),
+                    scalars=ctx.scalars, aux=("u", "v"),
+                    m_weight_cap=ctx.m_weight_cap, t_bound=ctx.t_bound)
+                fg = FormalGroupLaw(sc, self.mode, self._custom)
+                self._cache["scratch"] = fg
+            u, v = Series.gen(fg.ctx, "u"), Series.gen(fg.ctx, "v")
+            if conj_v:
+                v = fg.formal_inverse(v)
+            self._cache[key] = fg.formal_sum(u, v)
+        return self._cache[key]
 
     def a_coefficient(self, i, j):
         """The coefficient a_{i,j} of u^i v^j in F(u, v), in this context.
@@ -224,7 +227,9 @@ class FormalGroupLaw:
             raise ValueError("a_{i,j} needs i, j >= 1")
         if i + j - 1 > self.ctx.m_weight_cap:
             raise TruncationError("a_{%d,%d} exceeds the weight cap" % (i, j))
-        sc, F = self._f_table(i + j)
+        if i + j > MAX_DEG_BOUND:
+            raise TruncationError("requested F-table degree too large")
+        F = self._f_table()
         coeff = _coefficient_of_power(_coefficient_of_power(F, "u", i), "v", j)
         out = _rebuild(coeff, self.ctx)
         # the extracted coefficient is an exact polynomial in m/beta, so it

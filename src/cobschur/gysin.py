@@ -5,10 +5,16 @@ the projective-bundle residue and the Segre generating series expand
 rational expressions "at infinity" in one auxiliary variable.  The
 expansion variable u = 1/t is tracked by integer window keys, never as a
 ring generator, so all coefficient arithmetic stays in the truncated
-series ring.  Finiteness of every window slice follows from the degree
-truncation: a term at u^j with x-degree d in a homogeneous object of
-total degree g has negative weight d - g - j, and both d and the weight
-are capped by the context.
+series ring.  Every window is finite because of the truncation alone.
+Weight (deg m_i = -i, deg beta = -1) is never negative and adds under
+multiplication, and a_{p,q} has weight p + q - 1, so a term at u^j of a
+window factor has weight equal to its x-degree minus j, up to a constant
+per factor.  With x-degree at most D and weight at most the cap W, each
+factor has keys in a range of length D + W, and every product and
+geometric inversion is finite and exact modulo x-degree > D and weight
+> W.  A custom law with nonzero log coefficients has weight-0 a_{p,q}, so
+the truncation does not bound its windows, and the window functions
+reject it.
 """
 
 from __future__ import annotations
@@ -120,12 +126,18 @@ class LaurentWindow:
             self.var, self.k_min, self.k_max, len(self.coeffs))
 
 
-def _wmul(ctx, A, B, lo, hi):
+def _mwmul(A, B, los=None, his=None):
+    """Product of two windows keyed by exponent tuples.
+
+    Keys add componentwise; with ``los`` and ``his`` the product is
+    clipped to the box los <= key <= his.
+    """
     out = {}
     for ja, a in A.items():
         for jb, b in B.items():
-            j = ja + jb
-            if j < lo or j > hi:
+            j = tuple(x + y for x, y in zip(ja, jb))
+            if los is not None and not all(
+                    lo <= e <= hi for lo, e, hi in zip(los, j, his)):
                 continue
             p = a * b
             if p.is_zero():
@@ -137,111 +149,104 @@ def _wmul(ctx, A, B, lo, hi):
     return {j: c for j, c in out.items() if not c.is_zero()}
 
 
-def _inverse_x_powers(fgl, i, top):
-    """Powers 1..top of the formal inverse of x_i."""
-    xb = fgl.x_inverse(i)
-    out = [None, xb]
-    for q in range(2, top + 1):
-        out.append(out[-1] * xb)
-    return out
+def _geometric_inverse(ctx, g):
+    """Window of 1 / (1 + g), summed as sum_s (-g)^s.
+
+    Every term of g has positive x-degree or positive weight, so (-g)^s
+    has x-degree plus weight >= s and vanishes once s > D + W.
+    """
+    neg = {j: -c for j, c in g.items()}
+    power = {(0,): Series.const(ctx, 1)}
+    total = dict(power)
+    while power:
+        power = _mwmul(power, neg)
+        for j, c in power.items():
+            total[j] = total[j] + c if j in total else c
+    return {j: c for j, c in total.items() if not c.is_zero()}
 
 
-def _pair_factor_window(fgl, i, lo):
-    """r_i with t +_L conj(x_i) = t * (1 + r_i), as a u-window on [lo, 1].
+def _pair_factor_window(fgl, i):
+    """r_i with t +_L conj(x_i) = t * (1 + r_i), as a u-window.
 
-    r_i = u * (conj(x_i) + sum_{p,q >= 1} a_{p,q} t^p conj(x_i)^q); each
-    term carries positive x-degree, so geometric inversion terminates.
+    r_i = u * (conj(x_i) + sum_{p,q >= 1} a_{p,q} t^p conj(x_i)^q).  The
+    term at u^{1-p} has weight (p + q - 1) + (x-degree - q), its x-degree
+    minus its key, so p runs to the weight cap W and q to D.
     """
     ctx = fgl.ctx
-    D = ctx.deg_bound
-    pmax = max(0, 1 - lo)
-    powers = _inverse_x_powers(fgl, i, D)
-    out = {1: powers[1]}
-    for p in range(1, pmax + 1):
-        j = 1 - p
+    D, W = ctx.deg_bound, ctx.m_weight_cap
+    xb = fgl.x_inverse(i)
+    powers = [None, xb]
+    while len(powers) <= D:
+        powers.append(powers[-1] * xb)
+    out = {(1,): xb}
+    for p in range(1, W + 1):
         acc = Series.zero(ctx)
-        for q in range(1, D + 1):
-            if p + q - 1 > ctx.m_weight_cap:
-                break
+        for q in range(1, min(D, W + 1 - p) + 1):
             a = fgl.a_coefficient(p, q)
             if not a.is_zero():
                 acc = acc + a * powers[q]
         if not acc.is_zero():
-            out[j] = acc
+            out[(1 - p,)] = acc
     return out
 
 
-def _inv_pair_window(fgl, i, lo, hi):
-    """Window of 1 / (t +_L conj(x_i)) on [lo, hi].
+def _inv_pair_window(fgl, i):
+    """Window of 1 / (t +_L conj(x_i)) = u / (1 + r_i).
 
-    Partial powers of r keep their natural tops (the s-th power reaches
-    u^s): later factors with negative keys pull high terms back into the
-    requested window, so truncating partials at ``hi`` would lose terms.
+    Each term of r_i has positive x-degree, and a term at u^j of the
+    result has weight equal to its x-degree minus j plus one.
+    """
+    inv = _geometric_inverse(fgl.ctx, _pair_factor_window(fgl, i))
+    return {(j + 1,): c for (j,), c in inv.items()}
+
+
+def _omega_inverse_window(fgl):
+    """Window of 1 / (1 + sum_{p>=1} a_{p,1} u^{-p}).
+
+    a_{p,1} has weight p, so p runs to the weight cap, and a term at u^j
+    of the result has weight -j.
     """
     ctx = fgl.ctx
-    D = ctx.deg_bound
-    r = _pair_factor_window(fgl, i, lo - 1 - D)
-    acc = {0: Series.const(ctx, 1)}
-    total = {0: Series.const(ctx, 1)}
-    neg_r = {j: -c for j, c in r.items()}
-    for s in range(1, D + 1):
-        acc = _wmul(ctx, acc, neg_r, lo - 1 - (D - s), s)
-        if not acc:
-            break
-        for j, c in acc.items():
-            total[j] = total.get(j, Series.zero(ctx)) + c
-    return {j + 1: c for j, c in total.items()
-            if lo <= j + 1 <= hi and not c.is_zero()}
-
-
-def _omega_inverse_window(fgl, lo):
-    """Window of 1 / (1 + sum_{p>=1} a_{p,1} u^{-p}) on [lo, 0]."""
-    ctx = fgl.ctx
     g = {}
-    for p in range(1, max(0, -lo) + 1):
-        if p > ctx.m_weight_cap:
-            break
+    for p in range(1, ctx.m_weight_cap + 1):
         a = fgl.a_coefficient(p, 1)
         if not a.is_zero():
-            g[-p] = -a
-    total = {0: Series.const(ctx, 1)}
-    acc = {0: Series.const(ctx, 1)}
-    for s in range(1, max(0, -lo) + 1):
-        acc = _wmul(ctx, acc, g, lo, 0)
-        if not acc:
-            break
-        for j, c in acc.items():
-            total[j] = total.get(j, Series.zero(ctx)) + c
-    return total
+            g[(-p,)] = a
+    return _geometric_inverse(ctx, g)
 
 
 def required_weight_cap(n, deg_bound, k_min):
-    """Weight cap that keeps a Segre/residue window slice exact."""
-    return 2 * deg_bound + 2 * n + 4 + max(0, -k_min)
+    """Weight cap that keeps the window coefficients at u^k, k >= k_min, exact.
+
+    Weight (deg m_i = -i, deg beta = -1) is never negative and adds under
+    multiplication, so the terms of weight above W span an ideal, and a
+    computation carried out modulo it is exact modulo it.  A value whose
+    terms have total degree >= g has, at x-degree <= D, only terms of
+    weight <= D - g.  The u^k coefficient of a window is homogeneous of
+    total degree k >= k_min, so W = D + max(0, -k_min) keeps every term it
+    has at x-degree <= D.  The cap does not depend on n.
+    """
+    return deg_bound + max(0, -k_min)
 
 
-def _denominator_inverse_window(fgl, n, lo, hi):
+def _denominator_inverse_window(fgl, n):
     """Window of 1 / (omega-denominator * prod_i (t +_L conj(x_i))).
 
-    Each inverse pair factor has natural top D + 1 (a term at u^j carries
-    x-degree >= j - 1) and the omega factor has top 0.  Partial products
-    keep their accumulated natural top; the lower margin of a partial is
-    the request minus the tops still to come.
+    A term at u^j has weight equal to its x-degree minus j plus n, so
+    the truncation alone bounds the keys to n - W <= j <= D + n.
     """
-    ctx = fgl.ctx
-    D = ctx.deg_bound
-    factors = [_omega_inverse_window(fgl, lo - n * (D + 1))]
+    acc = _omega_inverse_window(fgl)
     for i in range(1, n + 1):
-        factors.append(_inv_pair_window(fgl, i, lo - (n - 1) * (D + 1), D + 1))
-    acc = factors[0]
-    tops = [0] + [D + 1] * n
-    top_so_far = 0
-    for idx in range(1, len(factors)):
-        remaining = sum(tops[idx + 1:])
-        top_so_far += tops[idx]
-        acc = _wmul(ctx, acc, factors[idx], lo - remaining,
-                    top_so_far if remaining else hi)
+        acc = _mwmul(acc, _inv_pair_window(fgl, i))
     return acc
+
+
+def _require_graded(fgl):
+    """The weight cap bounds a window only if every a_{p,q} has weight
+    p + q - 1; a custom law's nonzero log coefficients have weight 0."""
+    if fgl.mode == "custom" and any(fgl._custom.values()):
+        raise ValueError("windows and residues need a graded law: a custom "
+                         "law with nonzero log coefficients has unbounded windows")
 
 
 def segre_series(fgl, n, k_min, k_max):
@@ -253,6 +258,7 @@ def segre_series(fgl, n, k_min, k_max):
     """
     ctx = fgl.ctx
     D = ctx.deg_bound
+    _require_graded(fgl)
     if k_min > k_max:
         raise ValueError("k_min exceeds k_max")
     if k_max > D:
@@ -265,9 +271,8 @@ def segre_series(fgl, n, k_min, k_max):
         raise WindowExhausted(
             "window needs m_weight_cap >= %d (context has %d)"
             % (need, ctx.m_weight_cap))
-    lo, hi = k_min + n, k_max + n
-    inv = _denominator_inverse_window(fgl, n, lo, hi)
-    coeffs = {j - n: c for j, c in inv.items()}
+    inv = _denominator_inverse_window(fgl, n)
+    coeffs = {j - n: c for (j,), c in inv.items()}
     return LaurentWindow(ctx, "u", k_min, k_max, coeffs)
 
 
@@ -301,6 +306,7 @@ def projective_residue(fgl, f, n, var="s"):
     f(1/u) * window.
     """
     ctx = fgl.ctx
+    _require_graded(fgl)
     if isinstance(f, Series):
         layers = {es[0]: c for es, c in _poly_layers(fgl, f, (var,)).items()}
     else:
@@ -310,56 +316,29 @@ def projective_residue(fgl, f, n, var="s"):
                 for i in range(1, ctx.n_x + 1):
                     if ctx.key_exp(key, "x%d" % i):
                         raise ValueError("input coefficients must be x-free")
-    fw = {-e: c for e, c in layers.items() if not c.is_zero()}
-    top = max(layers) if layers else 0
-    inv = _denominator_inverse_window(fgl, n, 1 - top, 1 + top)
-    out = _wmul(ctx, fw, inv, 1, 1)
-    return out.get(1, Series.zero(ctx))
+    fw = {(-e,): c for e, c in layers.items() if not c.is_zero()}
+    out = _mwmul(fw, _denominator_inverse_window(fgl, n), (1,), (1,))
+    return out.get((1,), Series.zero(ctx))
 
 
 # ---------------------------------------------------------------------------
 # multivariate windows (Darondeau-Pragacz extraction)
 
 
-def _mwmul(ctx, A, B, los, his):
-    out = {}
-    r = len(los)
-    for ja, a in A.items():
-        for jb, b in B.items():
-            j = tuple(ja[i] + jb[i] for i in range(r))
-            ok = True
-            for i in range(r):
-                if j[i] < los[i] or j[i] > his[i]:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            p = a * b
-            if p.is_zero():
-                continue
-            if j in out:
-                out[j] = out[j] + p
-            else:
-                out[j] = p
-    return {j: c for j, c in out.items() if not c.is_zero()}
-
-
-def _tsum_window(fgl, pos_i, pos_j, r, tdeg):
+def _tsum_window(fgl, pos_i, pos_j, r):
     """(t_j +_L conj(t_i)) as an r-variable window (components <= 0).
 
-    Computed from the two-variable formal difference on a scratch
-    context; per-variable degrees are truncated at ``tdeg``.
+    Read off F(u, conj v) on the law's scratch ring, whose degree W + 1
+    holds every coefficient the weight cap keeps.
     """
-    ctx = fgl.ctx
-    sc, fg = fgl._scratch(min(2 * tdeg, 60))
     from .fgl import _rebuild
-    F = fg.formal_sum(Series.gen(sc, "u"), fg.formal_inverse(Series.gen(sc, "v")))
+    ctx = fgl.ctx
+    F = fgl._f_table(conj_v=True)
+    sc = F.ctx
     out = {}
     for key, c in F.terms.items():
         a = sc.key_exp(key, "u")    # power of t_j
         b = sc.key_exp(key, "v")    # power of t_i
-        if a > tdeg or b > tdeg:
-            continue
         base = sc.exps_from_key(key)
         base.pop("u", None)
         base.pop("v", None)
@@ -384,6 +363,7 @@ def darondeau_pragacz_pushforward(fgl, f, r, n, var_prefix="s"):
     """
     ctx = fgl.ctx
     D = ctx.deg_bound
+    _require_graded(fgl)
     if r > n:
         raise ValueError("r exceeds n")
     aux = ["%s%d" % (var_prefix, i) for i in range(1, r + 1)]
@@ -403,12 +383,11 @@ def darondeau_pragacz_pushforward(fgl, f, r, n, var_prefix="s"):
     target = 1 - n
     los = tuple(min(target - D - 2, -fdeg[i]) for i in range(r))
     his = tuple(max(D, 0) for _ in range(r))
-    tdeg = max(-l for l in los)
 
     acc = fw
     for i in range(1, r + 1):
         for j in range(i + 1, r + 1):
-            acc = _mwmul(ctx, acc, _tsum_window(fgl, i, j, r, tdeg), los, his)
+            acc = _mwmul(acc, _tsum_window(fgl, i, j, r), los, his)
     for i in range(1, r + 1):
         seg = segre_series(fgl, n, target - D - 2, min(D, his[i - 1]))
         w = {}
@@ -416,7 +395,7 @@ def darondeau_pragacz_pushforward(fgl, f, r, n, var_prefix="s"):
             key = [0] * r
             key[i - 1] = k
             w[tuple(key)] = c
-        acc = _mwmul(ctx, acc, w, los, his)
+        acc = _mwmul(acc, w, los, his)
     return acc.get((target,) * r, Series.zero(ctx))
 
 

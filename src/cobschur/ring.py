@@ -336,8 +336,12 @@ class Series:
 
     @staticmethod
     def gen(ctx, name, bound=None):
-        key = ctx.key_from_exps({name: 1})
-        return Series(ctx, {key: 1}, ctx.deg_bound if bound is None else bound)
+        """The generator ``name``; zero when its own weight (m_i, beta)
+        exceeds the weight cap, as it does in the truncated ring."""
+        bound = ctx.deg_bound if bound is None else bound
+        if ctx.key_weight(ctx.gen_unit(name)) > ctx.m_weight_cap:
+            return Series.zero(ctx, bound)
+        return Series(ctx, {ctx.key_from_exps({name: 1}): 1}, bound)
 
     @staticmethod
     def monomial(ctx, exps, coeff=1, bound=None):
@@ -364,10 +368,6 @@ class Series:
             if e > d:
                 d = e
         return d
-
-    def xb_degree(self):
-        ctx = self.ctx
-        return max((ctx.key_deg(k) for k in self.terms), default=0)
 
     def __eq__(self, other):
         """Canonical-form equality: the term maps agree."""

@@ -83,10 +83,6 @@ class Partition:
         core = self.parts[:self.length]
         return all(core[i] > core[i + 1] for i in range(len(core) - 1))
 
-    def is_distinct(self):
-        """Strictly decreasing including the zero tail (at most one 0)."""
-        return all(self.parts[i] > self.parts[i + 1] for i in range(self.n - 1))
-
     def pair_positions(self):
         """All (i, j), i < j, with n(i) < n(j) (strictly separated blocks)."""
         return tuple((i, j)

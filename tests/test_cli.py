@@ -56,8 +56,9 @@ class TestCompute:
         s = Series.from_json_dict(doc)
         assert not s.is_zero()
 
-    def test_determinism(self, capsys):
-        args = ("compute", "--family", "hl", "--lambda", "2,1", "--n", "3",
+    @pytest.mark.parametrize("family", ["hl", "schur-s"])
+    def test_determinism(self, capsys, family):
+        args = ("compute", "--family", family, "--lambda", "2,1", "--n", "3",
                 "--deg", "3", "--out", "json")
         _, out1, _ = run(capsys, *args)
         _, out2, _ = run(capsys, *args)
@@ -86,14 +87,35 @@ class TestCompute:
         assert code == EXIT_INVALID
         assert out == "" and "MAX_N = %d" % MAX_N in err
 
-    def test_thread_cap_is_deterministic(self, capsys, monkeypatch):
-        args = ("compute", "--family", "schur-s", "--lambda", "2,1",
-                "--n", "3", "--deg", "3", "--out", "json")
-        monkeypatch.setenv("COBSCHUR_THREADS", "1")
-        _, out1, _ = run(capsys, *args)
-        monkeypatch.setenv("COBSCHUR_THREADS", "3")
-        _, out2, _ = run(capsys, *args)
-        assert out1 == out2
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_n_below_one_rejected(self, capsys, n):
+        code, out, err = run(capsys, "compute", "--family", "schur-s",
+                             "--n", n, "--deg", "3")
+        assert code == EXIT_INVALID
+        assert out == "" and err.startswith("error:")
+        assert "--n must be at least 1" in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("mode,deg,lam", [
+        ("universal", 2, "1"),        # m3 has weight 3 above the cap 2
+        ("universal", 2, "2,1"),
+        ("multiplicative", 0, ""),    # beta has weight 1 above the cap 0
+        ("multiplicative", 0, "1"),
+    ])
+    def test_generators_above_the_weight_cap(self, capsys, mode, deg, lam):
+        # the cap --deg drops m_i and beta of weight above it; the output
+        # equals the value computed with the default cap D + margin
+        from cobschur import FormalGroupLaw, universal_schur_s
+        code, out, err = run(capsys, "compute", "--family", "schur-s",
+                             "--n", "3", "--A", "3", "--deg", str(deg),
+                             "--mode", mode, "--lambda", lam)
+        assert code == EXIT_OK, err
+        scalars = ("beta",) if mode == "multiplicative" else ()
+        ctx = RingContext(n_x=3, m_order=3 if mode == "universal" else 0,
+                          deg_bound=deg + 4, scalars=scalars)
+        parts = [int(p) for p in lam.split(",")] if lam else []
+        want = universal_schur_s(FormalGroupLaw(ctx, mode), parts, 3)
+        assert out.strip() == want.truncate(deg).text()
 
 
 class TestSegre:
@@ -113,11 +135,22 @@ class TestSegre:
         assert doc["coeffs"]["0"] == [{"den": "1", "exps": {}, "num": "1"}]
 
     def test_weight_cap_above_packed_maximum_rejected(self, capsys):
-        # needs weight cap 2*5 + 2*2 + 4 + 70 = 88 > 63: rejected up front
+        # needs weight cap D + max(0, -k_min) = 5 + 70 = 75 > 63: rejected
+        # up front
         code, out, err = run(capsys, "segre", "--n", "2", "--kmin", "-70",
                              "--kmax", "2")
         assert code == EXIT_INVALID
-        assert out == "" and "weight cap 88" in err
+        assert out == "" and "weight cap 75" in err
+
+    def test_custom_mode_rejected(self, capsys, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"m1": "1"}))
+        code, out, err = run(capsys, "segre", "--n", "2", "--kmin", "-1",
+                             "--kmax", "2", "--deg", "3", "--mode", "custom",
+                             "--m-file", str(path))
+        assert code == EXIT_INVALID
+        assert out == "" and err.startswith("error:") and "graded" in err
+        assert len(err.strip().splitlines()) == 1
 
 
 class TestOracle:
@@ -125,6 +158,14 @@ class TestOracle:
         code, out, _ = run(capsys, "oracle", "--family", "schur",
                            "--lambda", "2,1", "--n", "3")
         assert code == EXIT_OK and "x1^2*x2" in out
+
+    @pytest.mark.parametrize("n", ["7", "1000"])
+    def test_n_above_limit_rejected(self, capsys, n):
+        code, out, err = run(capsys, "oracle", "--family", "schur",
+                             "--n", n, "--lambda", "1")
+        assert code == EXIT_INVALID
+        assert out == "" and "MAX_N = %d" % MAX_N in err
+        assert len(err.strip().splitlines()) == 1
 
 
 class TestVerify:

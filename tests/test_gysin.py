@@ -242,8 +242,8 @@ class TestResidueAndSegre:
         sctx, sf = setup("universal", n, D=D)
         for k in range(1 - n, 4):
             direct = new_universal_schur_one_row(sf, k, n)
-            assert series_match(seg.coeff(k), direct,
-                                deg=min(D, direct.bound))[0]
+            assert series_match(seg.coeff(k), direct, deg=min(D, direct.bound),
+                                wcap=sctx.m_weight_cap)[0]
 
     def test_window_json_round_trip_fields(self):
         ctx = RingContext(n_x=1, m_order=0, deg_bound=3)
@@ -317,7 +317,8 @@ class TestDarondeauPragacz:
                       for j in range(i + 1, n + 1))
         spec = SymmetrizerSpec((1, 2, 3), pairs, coset_reps(n, (1, 1, 1)))
         direct = symmetrize(sf, num, spec)
-        assert series_match(got, direct, deg=min(D, direct.bound))[0]
+        assert series_match(got, direct, deg=min(D, direct.bound),
+                            wcap=sctx.m_weight_cap)[0]
 
     def test_multi_term_polynomial_with_parameters(self):
         # f = 3 t1^3 t2 - (1/2) b1 t1^2 t2^2 pushes forward linearly and
@@ -342,4 +343,188 @@ class TestDarondeauPragacz:
                       for j in range(i + 1, n + 1))
         spec = SymmetrizerSpec((1, 2, 3), pairs, coset_reps(n, (1, 1, 1)))
         direct = symmetrize(sf, num, spec)
-        assert series_match(got, direct, deg=min(D, direct.bound))[0]
+        assert series_match(got, direct, deg=min(D, direct.bound),
+                            wcap=sctx.m_weight_cap)[0]
+
+
+# ---------------------------------------------------------------------------
+# Reference: the window functions as they were before the weight cap
+# bounded the windows, each clipped to explicit x-degree extents.  They
+# stay as an independent check of segre_series and projective_residue,
+# most of all for k < 1 - n, where no symmetrizer value exists to compare.
+
+
+def _wmul(ctx, A, B, lo, hi):
+    out = {}
+    for ja, a in A.items():
+        for jb, b in B.items():
+            j = ja + jb
+            if j < lo or j > hi:
+                continue
+            p = a * b
+            if p.is_zero():
+                continue
+            if j in out:
+                out[j] = out[j] + p
+            else:
+                out[j] = p
+    return {j: c for j, c in out.items() if not c.is_zero()}
+
+
+def _inverse_x_powers(fgl, i, top):
+    """Powers 1..top of the formal inverse of x_i."""
+    xb = fgl.x_inverse(i)
+    out = [None, xb]
+    for q in range(2, top + 1):
+        out.append(out[-1] * xb)
+    return out
+
+
+def _pair_factor_window(fgl, i, lo):
+    """r_i with t +_L conj(x_i) = t * (1 + r_i), as a u-window on [lo, 1].
+
+    r_i = u * (conj(x_i) + sum_{p,q >= 1} a_{p,q} t^p conj(x_i)^q); each
+    term carries positive x-degree, so geometric inversion terminates.
+    """
+    ctx = fgl.ctx
+    D = ctx.deg_bound
+    pmax = max(0, 1 - lo)
+    powers = _inverse_x_powers(fgl, i, D)
+    out = {1: powers[1]}
+    for p in range(1, pmax + 1):
+        j = 1 - p
+        acc = Series.zero(ctx)
+        for q in range(1, D + 1):
+            if p + q - 1 > ctx.m_weight_cap:
+                break
+            a = fgl.a_coefficient(p, q)
+            if not a.is_zero():
+                acc = acc + a * powers[q]
+        if not acc.is_zero():
+            out[j] = acc
+    return out
+
+
+def _inv_pair_window(fgl, i, lo, hi):
+    """Window of 1 / (t +_L conj(x_i)) on [lo, hi].
+
+    Partial powers of r keep their natural tops (the s-th power reaches
+    u^s): later factors with negative keys pull high terms back into the
+    requested window, so truncating partials at ``hi`` would lose terms.
+    """
+    ctx = fgl.ctx
+    D = ctx.deg_bound
+    r = _pair_factor_window(fgl, i, lo - 1 - D)
+    acc = {0: Series.const(ctx, 1)}
+    total = {0: Series.const(ctx, 1)}
+    neg_r = {j: -c for j, c in r.items()}
+    for s in range(1, D + 1):
+        acc = _wmul(ctx, acc, neg_r, lo - 1 - (D - s), s)
+        if not acc:
+            break
+        for j, c in acc.items():
+            total[j] = total.get(j, Series.zero(ctx)) + c
+    return {j + 1: c for j, c in total.items()
+            if lo <= j + 1 <= hi and not c.is_zero()}
+
+
+def _omega_inverse_window(fgl, lo):
+    """Window of 1 / (1 + sum_{p>=1} a_{p,1} u^{-p}) on [lo, 0]."""
+    ctx = fgl.ctx
+    g = {}
+    for p in range(1, max(0, -lo) + 1):
+        if p > ctx.m_weight_cap:
+            break
+        a = fgl.a_coefficient(p, 1)
+        if not a.is_zero():
+            g[-p] = -a
+    total = {0: Series.const(ctx, 1)}
+    acc = {0: Series.const(ctx, 1)}
+    for s in range(1, max(0, -lo) + 1):
+        acc = _wmul(ctx, acc, g, lo, 0)
+        if not acc:
+            break
+        for j, c in acc.items():
+            total[j] = total.get(j, Series.zero(ctx)) + c
+    return total
+
+
+def _denominator_inverse_window(fgl, n, lo, hi):
+    """Window of 1 / (omega-denominator * prod_i (t +_L conj(x_i))).
+
+    Each inverse pair factor has natural top D + 1 (a term at u^j carries
+    x-degree >= j - 1) and the omega factor has top 0.  Partial products
+    keep their accumulated natural top; the lower margin of a partial is
+    the request minus the tops still to come.
+    """
+    ctx = fgl.ctx
+    D = ctx.deg_bound
+    factors = [_omega_inverse_window(fgl, lo - n * (D + 1))]
+    for i in range(1, n + 1):
+        factors.append(_inv_pair_window(fgl, i, lo - (n - 1) * (D + 1), D + 1))
+    acc = factors[0]
+    tops = [0] + [D + 1] * n
+    top_so_far = 0
+    for idx in range(1, len(factors)):
+        remaining = sum(tops[idx + 1:])
+        top_so_far += tops[idx]
+        acc = _wmul(ctx, acc, factors[idx], lo - remaining,
+                    top_so_far if remaining else hi)
+    return acc
+
+
+def _reference_window(fgl, n, k_min, k_max):
+    inv = _denominator_inverse_window(fgl, n, k_min + n, k_max + n)
+    return {j - n: c for j, c in inv.items()}
+
+
+def _reference_residue(fgl, layers, n):
+    ctx = fgl.ctx
+    fw = {-e: c for e, c in layers.items() if not c.is_zero()}
+    top = max(layers) if layers else 0
+    inv = _denominator_inverse_window(fgl, n, 1 - top, 1 + top)
+    out = _wmul(ctx, fw, inv, 1, 1)
+    return out.get(1, Series.zero(ctx))
+
+
+class TestWindowsAgainstExtentReference:
+    @pytest.mark.parametrize("mode", ["universal", "multiplicative", "additive"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_windows_and_residues(self, mode, n):
+        for D in (2, 3, 4):
+            for k_min in (-4, -1, 2):
+                cap = required_weight_cap(n, D, k_min)
+                ctx = RingContext(
+                    n_x=n, m_order=2 if mode == "universal" else 0,
+                    deg_bound=D, m_weight_cap=cap,
+                    scalars=("beta",) if mode == "multiplicative" else ())
+                fgl = FormalGroupLaw(ctx, mode)
+                seg = segre_series(fgl, n, k_min, D)
+                want = _reference_window(fgl, n, k_min, D)
+                for k in range(k_min, D + 1):
+                    got = seg.coeff(k)
+                    assert got == want.get(k, Series.zero(ctx)), (D, k_min, k)
+                    if k + n - 1 >= 0:
+                        layers = {k + n - 1: Series.const(ctx, 1)}
+                        assert projective_residue(fgl, layers, n) == got
+                        assert _reference_residue(fgl, layers, n) == got
+                # a two-term numerator with a weighted coefficient
+                scalar = {"universal": "m1", "multiplicative": "beta"}.get(mode)
+                c = Series.gen(ctx, scalar) if scalar else Series.const(ctx, 5)
+                layers = {n: c, n + 1: Series.const(ctx, -3)}
+                assert projective_residue(fgl, layers, n) == \
+                    _reference_residue(fgl, layers, n)
+
+
+class TestCustomLawRejected:
+    def test_window_functions_reject_custom_law(self):
+        from fractions import Fraction
+        ctx = RingContext(n_x=2, deg_bound=3)
+        fgl = FormalGroupLaw(ctx, "custom", {1: Fraction(1), 2: Fraction(0)})
+        one = Series.const(ctx, 1)
+        with pytest.raises(ValueError, match="graded"):
+            segre_series(fgl, 2, 0, 2)
+        with pytest.raises(ValueError, match="graded"):
+            projective_residue(fgl, {1: one}, 2)
+        with pytest.raises(ValueError, match="graded"):
+            darondeau_pragacz_pushforward(fgl, {(1,): one}, 1, 2)
