@@ -13,7 +13,7 @@ from cobschur import (RingContext, Series, FormalGroupLaw, segre_series,
 print(__doc__)
 
 n, D = 2, 4
-cap = min(required_weight_cap(n, D, 1 - n), 63)
+cap = required_weight_cap(n, D, 1 - n)
 wctx = RingContext(n_x=n, m_order=2, deg_bound=D, m_weight_cap=cap)
 wf = FormalGroupLaw(wctx, "universal")
 

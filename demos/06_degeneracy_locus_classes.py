@@ -48,7 +48,7 @@ print()
 
 # coefficient extraction vs direct symmetrizer, r = 2 rows on n = 3
 n, rr, D = 3, 2, 3
-cap = min(required_weight_cap(n, D, 1 - n - D - 2), 63)
+cap = required_weight_cap(n, D, 1 - n - D - 2)
 wctx = RingContext(n_x=n, m_order=2, deg_bound=D, m_weight_cap=cap)
 wf = FormalGroupLaw(wctx, "universal")
 exps = (3, 1)

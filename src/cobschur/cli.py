@@ -13,12 +13,12 @@ import sys
 from fractions import Fraction
 
 from .ring import (RingContext, Series, RemainderError, BudgetError,
-                   TruncationError, MAX_WEIGHT_CAP)
+                   TruncationError)
 from .fgl import FormalGroupLaw
 from .schur import (Partition, universal_schur_s, universal_schur_p,
                     universal_schur_q, universal_hall_littlewood,
                     new_universal_schur, universal_schur_kl)
-from .gysin import (segre_series, required_weight_cap,
+from .gysin import (segre_series, required_weight_cap, MAX_WINDOW_CAP,
                     pushforward_full_flag, pushforward_partial_flag,
                     pushforward_between_flags, grassmannian_pushforward,
                     WindowExhausted, NotInvariant, ConsistencyError)
@@ -96,12 +96,15 @@ def _build_setup(args, n, lam, with_t=False):
         scalars.append("t")
     if mode == "multiplicative":
         scalars.append("beta")
+    # every family is homogeneous of degree |lambda| >= 0, so its terms of
+    # (x,b)-degree <= --deg have weight <= --deg (gysin.required_weight_cap).
+    # --b substitutes values for generators, which moves terms of higher
+    # (x,b)-degree and weight into the output; it keeps the default cap.
+    wcap = None if args.b else args.deg
     try:
-        # every family is homogeneous of degree |lambda| >= 0, so weight
-        # above --deg never reaches the output (gysin.required_weight_cap)
         ctx = RingContext(n_x=n, n_b=n_b, m_order=A,
                           deg_bound=args.deg + margin, scalars=tuple(scalars),
-                          m_weight_cap=args.deg)
+                          m_weight_cap=wcap)
     except ValueError as exc:
         raise CliError(str(exc))
     custom = None
@@ -215,10 +218,10 @@ def cmd_segre(args):
     A = args.A if args.mode == "universal" else 0
     scalars = ("beta",) if args.mode == "multiplicative" else ()
     cap = required_weight_cap(n, args.deg, args.kmin)
-    if cap > MAX_WEIGHT_CAP:
-        raise CliError("this window needs weight cap %d, above the packed "
+    if cap > MAX_WINDOW_CAP:
+        raise CliError("this window needs weight cap %d, above the window "
                        "maximum %d (raise --kmin or lower --deg)"
-                       % (cap, MAX_WEIGHT_CAP))
+                       % (cap, MAX_WINDOW_CAP))
     try:
         ctx = RingContext(n_x=n, m_order=A, deg_bound=args.deg,
                           scalars=scalars, m_weight_cap=cap)

@@ -14,7 +14,9 @@ factor has keys in a range of length D + W, and every product and
 geometric inversion is finite and exact modulo x-degree > D and weight
 > W.  A custom law with nonzero log coefficients has weight-0 a_{p,q}, so
 the truncation does not bound its windows, and the window functions
-reject it.
+reject it.  The windows read every a_{p,q} with p + q <= W + 1 off one
+table of F(u, v), whose degree is at most MAX_DEG_BOUND, so they need
+W <= MAX_WINDOW_CAP.
 """
 
 from __future__ import annotations
@@ -23,10 +25,14 @@ import json
 import math
 from fractions import Fraction
 
-from .ring import Series, Permutation, RingError
+from .ring import Series, Permutation, RingError, MAX_DEG_BOUND
 from .schur import (SymmetrizerSpec, Partition, coset_reps, symmetrize,
                     factorial_power, bracket_monomial, new_universal_schur,
                     universal_schur_kl, rho)
+
+
+# largest weight cap a window can use: F(u, v) is built to degree W + 1
+MAX_WINDOW_CAP = MAX_DEG_BOUND - 1
 
 
 class WindowExhausted(RingError):
@@ -235,18 +241,25 @@ def _denominator_inverse_window(fgl, n):
     A term at u^j has weight equal to its x-degree minus j plus n, so
     the truncation alone bounds the keys to n - W <= j <= D + n.
     """
+    # every a_{p,q} below has p + q <= W + 1: build F(u, v) once, to that
+    fgl._f_table(fgl.ctx.m_weight_cap + 1)
     acc = _omega_inverse_window(fgl)
     for i in range(1, n + 1):
         acc = _mwmul(acc, _inv_pair_window(fgl, i))
     return acc
 
 
-def _require_graded(fgl):
+def _check_window_law(fgl):
     """The weight cap bounds a window only if every a_{p,q} has weight
-    p + q - 1; a custom law's nonzero log coefficients have weight 0."""
+    p + q - 1; a custom law's nonzero log coefficients have weight 0.
+    The cap must also leave room for F(u, v) to degree W + 1."""
     if fgl.mode == "custom" and any(fgl._custom.values()):
         raise ValueError("windows and residues need a graded law: a custom "
                          "law with nonzero log coefficients has unbounded windows")
+    if fgl.ctx.m_weight_cap > MAX_WINDOW_CAP:
+        raise WindowExhausted(
+            "windows need m_weight_cap <= %d (context has %d)"
+            % (MAX_WINDOW_CAP, fgl.ctx.m_weight_cap))
 
 
 def segre_series(fgl, n, k_min, k_max):
@@ -258,7 +271,7 @@ def segre_series(fgl, n, k_min, k_max):
     """
     ctx = fgl.ctx
     D = ctx.deg_bound
-    _require_graded(fgl)
+    _check_window_law(fgl)
     if k_min > k_max:
         raise ValueError("k_min exceeds k_max")
     if k_max > D:
@@ -267,7 +280,7 @@ def segre_series(fgl, n, k_min, k_max):
             % (k_max, k_max, D))
     need = required_weight_cap(n, D, k_min)
     weighted = ctx.m_order > 0 or "beta" in ctx.scalars
-    if weighted and ctx.m_weight_cap < min(need, 63):
+    if weighted and ctx.m_weight_cap < need:
         raise WindowExhausted(
             "window needs m_weight_cap >= %d (context has %d)"
             % (need, ctx.m_weight_cap))
@@ -306,7 +319,7 @@ def projective_residue(fgl, f, n, var="s"):
     f(1/u) * window.
     """
     ctx = fgl.ctx
-    _require_graded(fgl)
+    _check_window_law(fgl)
     if isinstance(f, Series):
         layers = {es[0]: c for es, c in _poly_layers(fgl, f, (var,)).items()}
     else:
@@ -328,12 +341,12 @@ def projective_residue(fgl, f, n, var="s"):
 def _tsum_window(fgl, pos_i, pos_j, r):
     """(t_j +_L conj(t_i)) as an r-variable window (components <= 0).
 
-    Read off F(u, conj v) on the law's scratch ring, whose degree W + 1
-    holds every coefficient the weight cap keeps.
+    Read off F(u, conj v) to degree W + 1, which holds every coefficient
+    the weight cap keeps.
     """
     from .fgl import _rebuild
     ctx = fgl.ctx
-    F = fgl._f_table(conj_v=True)
+    F = fgl._f_table(ctx.m_weight_cap + 1, conj_v=True)
     sc = F.ctx
     out = {}
     for key, c in F.terms.items():
@@ -363,7 +376,7 @@ def darondeau_pragacz_pushforward(fgl, f, r, n, var_prefix="s"):
     """
     ctx = fgl.ctx
     D = ctx.deg_bound
-    _require_graded(fgl)
+    _check_window_law(fgl)
     if r > n:
         raise ValueError("r exceeds n")
     aux = ["%s%d" % (var_prefix, i) for i in range(1, r + 1)]

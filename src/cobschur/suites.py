@@ -495,7 +495,7 @@ def suite_residue_segre(max_n=3, k_hi=4, A=2, D=4):
     r = _Runner("residue-segre")
     for n in range(1, max_n + 1):
         k_lo = 1 - n
-        cap = min(required_weight_cap(n, D, k_lo), 63)
+        cap = required_weight_cap(n, D, k_lo)
         wctx = RingContext(n_x=n, m_order=A, deg_bound=D, m_weight_cap=cap)
         wf = FormalGroupLaw(wctx, "universal")
         P = n * (n - 1) // 2
@@ -647,7 +647,7 @@ def suite_kempf_laksov(max_d=3, max_n=4, max_weight=4, A=2):
         for rr in (1, 2):
             if rr > n:
                 continue
-            cap = min(required_weight_cap(n, D, 1 - n - D - 2), 63)
+            cap = required_weight_cap(n, D, 1 - n - D - 2)
             wctx = RingContext(n_x=n, m_order=A, deg_bound=D, m_weight_cap=cap)
             wf = FormalGroupLaw(wctx, "universal")
             P = n * (n - 1) // 2

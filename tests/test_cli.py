@@ -117,6 +117,31 @@ class TestCompute:
         want = universal_schur_s(FormalGroupLaw(ctx, mode), parts, 3)
         assert out.strip() == want.truncate(deg).text()
 
+    @pytest.mark.parametrize("mode", ["universal", "multiplicative"])
+    @pytest.mark.parametrize("family,lam", [
+        ("schur-s", "1"), ("schur-s", ""), ("schur-kl", "1"), ("schur-kl", "2"),
+    ])
+    def test_b_values_keep_the_default_weight_cap(self, capsys, tmp_path,
+                                                  mode, family, lam):
+        # substituting b = 1 moves terms of (x,b)-degree above --deg into
+        # the output; it must equal the value computed at the default cap
+        from cobschur import FormalGroupLaw, universal_schur_s, universal_schur_kl
+        path = tmp_path / "b.json"
+        ones = {"b1": 1, "b2": 1, "b3": 1}
+        path.write_text(json.dumps(ones))
+        code, out, err = run(capsys, "compute", "--family", family,
+                             "--n", "2", "--nb", "3", "--A", "2", "--deg", "1",
+                             "--mode", mode, "--lambda", lam, "--b", str(path))
+        assert code == EXIT_OK, err
+        scalars = ("beta",) if mode == "multiplicative" else ()
+        ctx = RingContext(n_x=2, n_b=3, m_order=2 if mode == "universal" else 0,
+                          deg_bound=1 + 2, scalars=scalars)
+        parts = [int(p) for p in lam.split(",")] if lam else []
+        fn = universal_schur_s if family == "schur-s" else universal_schur_kl
+        want = fn(FormalGroupLaw(ctx, mode), parts, 2, use_b=True)
+        want = want.specialize(ones).truncate(1)
+        assert out.strip() == want.text()
+
 
 class TestSegre:
     def test_bad_window_rejected(self, capsys):
@@ -141,6 +166,18 @@ class TestSegre:
                              "--kmax", "2")
         assert code == EXIT_INVALID
         assert out == "" and "weight cap 75" in err
+
+    def test_weight_cap_above_window_maximum_rejected(self, capsys):
+        # F(u, v) is built to degree W + 1 <= 60, so W = 5 + 55 = 60 is
+        # rejected up front and W = 59 runs
+        code, out, err = run(capsys, "segre", "--n", "2", "--kmin", "-55",
+                             "--kmax", "2", "--deg", "5")
+        assert code == EXIT_INVALID
+        assert out == "" and "weight cap 60" in err and "maximum 59" in err
+        code, out, err = run(capsys, "segre", "--n", "2", "--kmin", "-54",
+                             "--kmax", "2", "--deg", "5", "--mode", "additive")
+        assert code == EXIT_OK, err
+        assert json.loads(out)["context"]["m_weight_cap"] == 59
 
     def test_custom_mode_rejected(self, capsys, tmp_path):
         path = tmp_path / "m.json"

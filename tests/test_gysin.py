@@ -528,3 +528,22 @@ class TestCustomLawRejected:
             projective_residue(fgl, {1: one}, 2)
         with pytest.raises(ValueError, match="graded"):
             darondeau_pragacz_pushforward(fgl, {(1,): one}, 1, 2)
+
+
+class TestWindowCapLimit:
+    def test_cap_above_window_maximum_rejected(self):
+        # windows need F(u, v) to degree W + 1, at most MAX_DEG_BOUND
+        from cobschur.gysin import MAX_WINDOW_CAP
+        ctx = RingContext(n_x=2, deg_bound=3, m_order=2,
+                          m_weight_cap=MAX_WINDOW_CAP + 1)
+        fgl = FormalGroupLaw(ctx, "universal")
+        one = Series.const(ctx, 1)
+        with pytest.raises(WindowExhausted, match="m_weight_cap <= %d"
+                           % MAX_WINDOW_CAP):
+            segre_series(fgl, 2, 0, 2)
+        with pytest.raises(WindowExhausted):
+            projective_residue(fgl, {1: one}, 2)
+        with pytest.raises(WindowExhausted):
+            darondeau_pragacz_pushforward(fgl, {(1,): one}, 1, 2)
+        # nothing was built before the rejection
+        assert "scratch" not in fgl._cache
