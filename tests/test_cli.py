@@ -160,16 +160,14 @@ class TestSegre:
         assert doc["coeffs"]["0"] == [{"den": "1", "exps": {}, "num": "1"}]
 
     def test_weight_cap_above_packed_maximum_rejected(self, capsys):
-        # needs weight cap D + max(0, -k_min) = 5 + 70 = 75 > 63: rejected
+        # needs weight cap D + max(0, -k_min) = 5 + 70 = 75 > 59: rejected
         # up front
         code, out, err = run(capsys, "segre", "--n", "2", "--kmin", "-70",
                              "--kmax", "2")
         assert code == EXIT_INVALID
         assert out == "" and "weight cap 75" in err
-
-    def test_weight_cap_above_window_maximum_rejected(self, capsys):
         # F(u, v) is built to degree W + 1 <= 60, so W = 5 + 55 = 60 is
-        # rejected up front and W = 59 runs
+        # rejected up front as well, and W = 59 runs
         code, out, err = run(capsys, "segre", "--n", "2", "--kmin", "-55",
                              "--kmax", "2", "--deg", "5")
         assert code == EXIT_INVALID
