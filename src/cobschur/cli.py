@@ -96,15 +96,13 @@ def _build_setup(args, n, lam, with_t=False):
         scalars.append("t")
     if mode == "multiplicative":
         scalars.append("beta")
-    # every family is homogeneous of degree |lambda| >= 0, so its terms of
-    # (x,b)-degree <= --deg have weight <= --deg (gysin.required_weight_cap).
-    # --b substitutes values for generators, which moves terms of higher
-    # (x,b)-degree and weight into the output; it keeps the default cap.
-    wcap = None if args.b else args.deg
     try:
+        # every family is homogeneous of degree |lambda| >= 0, so weight is
+        # <= --deg at (x,b)-degree <= --deg (gysin.required_weight_cap); --b
+        # brings higher (x,b)-degrees into the output and keeps the default
         ctx = RingContext(n_x=n, n_b=n_b, m_order=A,
                           deg_bound=args.deg + margin, scalars=tuple(scalars),
-                          m_weight_cap=wcap)
+                          m_weight_cap=None if args.b else args.deg)
     except ValueError as exc:
         raise CliError(str(exc))
     custom = None

@@ -191,55 +191,52 @@ class FormalGroupLaw:
 
     # -- coefficients of F ---------------------------------------------------
 
-    def _f_table(self, degree, conj_v=False):
-        """F(u, v), or F(u, conj(v)), to (u, v)-degree at least ``degree``.
+    def _f_table(self, conj_v=False):
+        """F(u, v), or F(u, conj(v)), over this law's scratch ring in u, v.
 
-        Computed over a scratch ring in u, v.  The scratch law is cached,
-        together with its tables, and rebuilt only when a larger degree is
-        asked for; callers that need many coefficients ask for their
-        largest degree first.
+        The scratch ring and its law are built once, on first use, at
+        (u, v)-degree W + 1 (at most 60) for the weight cap W: a_{p,q} has
+        weight p + q - 1, so every coefficient the cap keeps has
+        p + q <= W + 1.
         """
-        if degree > MAX_DEG_BOUND:
-            raise TruncationError("requested F-table degree too large")
-        fg = self._cache.get("scratch")
-        if fg is None or fg.ctx.deg_bound < degree:
-            ctx = self.ctx
-            sc = RingContext(n_x=0, n_b=0, m_order=ctx.m_order,
-                             deg_bound=degree, scalars=ctx.scalars,
-                             aux=("u", "v"), m_weight_cap=ctx.m_weight_cap,
-                             t_bound=ctx.t_bound)
-            fg = FormalGroupLaw(sc, self.mode, self._custom)
-            self._cache["scratch"] = fg
         key = ("ftable", conj_v)
-        if key not in fg._cache:
+        if key not in self._cache:
+            fg = self._cache.get("scratch")
+            if fg is None:
+                ctx = self.ctx
+                sc = RingContext(
+                    n_x=0, n_b=0, m_order=ctx.m_order,
+                    deg_bound=min(ctx.m_weight_cap + 1, MAX_DEG_BOUND),
+                    scalars=ctx.scalars, aux=("u", "v"),
+                    m_weight_cap=ctx.m_weight_cap, t_bound=ctx.t_bound)
+                fg = FormalGroupLaw(sc, self.mode, self._custom)
+                self._cache["scratch"] = fg
             u, v = Series.gen(fg.ctx, "u"), Series.gen(fg.ctx, "v")
             if conj_v:
                 v = fg.formal_inverse(v)
-            fg._cache[key] = fg.formal_sum(u, v)
-        return fg._cache[key]
+            self._cache[key] = fg.formal_sum(u, v)
+        return self._cache[key]
 
     def a_coefficient(self, i, j):
         """The coefficient a_{i,j} of u^i v^j in F(u, v), in this context.
 
         Returned as a Series in the m/beta generators (a rational for the
-        explicit modes), and cached.  Requires i + j - 1 within the weight
-        cap.  The first call builds F(u, v) to degree i + j, unless a
-        table at least that large is already cached.
+        explicit modes).  Requires i + j - 1 within the weight cap.  The
+        first call builds F(u, v) for the whole cap W (see _f_table), so
+        in a context with a large cap even a_{1,1} pays for that table.
         """
         if i < 1 or j < 1:
             raise ValueError("a_{i,j} needs i, j >= 1")
         if i + j - 1 > self.ctx.m_weight_cap:
             raise TruncationError("a_{%d,%d} exceeds the weight cap" % (i, j))
-        key = ("a", i, j)
-        if key not in self._cache:
-            F = self._f_table(i + j)
-            coeff = _coefficient_of_power(_coefficient_of_power(F, "u", i),
-                                          "v", j)
-            out = _rebuild(coeff, self.ctx)
-            # the extracted coefficient is an exact polynomial in m/beta,
-            # so it is trusted to the full context bound
-            self._cache[key] = Series(self.ctx, out.terms, self.ctx.deg_bound)
-        return self._cache[key]
+        if i + j > MAX_DEG_BOUND:
+            raise TruncationError("requested F-table degree too large")
+        F = self._f_table()
+        coeff = _coefficient_of_power(_coefficient_of_power(F, "u", i), "v", j)
+        out = _rebuild(coeff, self.ctx)
+        # the extracted coefficient is an exact polynomial in m/beta, so it
+        # is trusted to the full context bound
+        return Series(self.ctx, out.terms, self.ctx.deg_bound)
 
     def invariant_differential_denominator(self, var="s"):
         """1 + sum_i a_{i,1} s^i, equal to dF/dv at v = 0 and to 1/log'."""

@@ -14,9 +14,7 @@ factor has keys in a range of length D + W, and every product and
 geometric inversion is finite and exact modulo x-degree > D and weight
 > W.  A custom law with nonzero log coefficients has weight-0 a_{p,q}, so
 the truncation does not bound its windows, and the window functions
-reject it.  The windows read every a_{p,q} with p + q <= W + 1 off one
-table of F(u, v), whose degree is at most MAX_DEG_BOUND, so they need
-W <= MAX_WINDOW_CAP.
+reject it.
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ from .schur import (SymmetrizerSpec, Partition, coset_reps, symmetrize,
                     universal_schur_kl, rho)
 
 
-# largest weight cap a window can use: F(u, v) is built to degree W + 1
+# windows read every a_{p,q} with p + q <= W + 1 off one F(u, v) table
 MAX_WINDOW_CAP = MAX_DEG_BOUND - 1
 
 
@@ -241,8 +239,6 @@ def _denominator_inverse_window(fgl, n):
     A term at u^j has weight equal to its x-degree minus j plus n, so
     the truncation alone bounds the keys to n - W <= j <= D + n.
     """
-    # every a_{p,q} below has p + q <= W + 1: build F(u, v) once, to that
-    fgl._f_table(fgl.ctx.m_weight_cap + 1)
     acc = _omega_inverse_window(fgl)
     for i in range(1, n + 1):
         acc = _mwmul(acc, _inv_pair_window(fgl, i))
@@ -251,15 +247,14 @@ def _denominator_inverse_window(fgl, n):
 
 def _check_window_law(fgl):
     """The weight cap bounds a window only if every a_{p,q} has weight
-    p + q - 1; a custom law's nonzero log coefficients have weight 0.
-    The cap must also leave room for F(u, v) to degree W + 1."""
+    p + q - 1 (a custom law's log coefficients have weight 0), and F(u, v)
+    must fit degree W + 1."""
     if fgl.mode == "custom" and any(fgl._custom.values()):
         raise ValueError("windows and residues need a graded law: a custom "
                          "law with nonzero log coefficients has unbounded windows")
     if fgl.ctx.m_weight_cap > MAX_WINDOW_CAP:
-        raise WindowExhausted(
-            "windows need m_weight_cap <= %d (context has %d)"
-            % (MAX_WINDOW_CAP, fgl.ctx.m_weight_cap))
+        raise WindowExhausted("windows need m_weight_cap <= %d (context has %d)"
+                              % (MAX_WINDOW_CAP, fgl.ctx.m_weight_cap))
 
 
 def segre_series(fgl, n, k_min, k_max):
@@ -341,12 +336,12 @@ def projective_residue(fgl, f, n, var="s"):
 def _tsum_window(fgl, pos_i, pos_j, r):
     """(t_j +_L conj(t_i)) as an r-variable window (components <= 0).
 
-    Read off F(u, conj v) to degree W + 1, which holds every coefficient
-    the weight cap keeps.
+    Read off F(u, conj v) on the law's scratch ring, whose degree W + 1
+    holds every coefficient the weight cap keeps.
     """
     from .fgl import _rebuild
     ctx = fgl.ctx
-    F = fgl._f_table(ctx.m_weight_cap + 1, conj_v=True)
+    F = fgl._f_table(conj_v=True)
     sc = F.ctx
     out = {}
     for key, c in F.terms.items():

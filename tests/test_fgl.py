@@ -160,21 +160,6 @@ class TestACoefficients:
         assert f.a_coefficient(1, 2) == 4 * m1 ** 2 - 3 * m2
         assert f.a_coefficient(1, 2) == f.a_coefficient(2, 1)
 
-    def test_table_built_to_the_requested_degree(self):
-        # a_{1,1} needs F(u, v) to degree 2 only, whatever the cap; a later
-        # larger request rebuilds the table and gives the same coefficients
-        ctx, f = make("universal", D=20)
-        m1 = Series.gen(ctx, "m1")
-        assert f.a_coefficient(1, 1) == -2 * m1
-        assert f._cache["scratch"].ctx.deg_bound == 2
-        low = f.a_coefficient(1, 2)
-        f._f_table(12)
-        assert f._cache["scratch"].ctx.deg_bound == 12
-        assert f.a_coefficient(1, 2) is low
-        fresh = make("universal", D=20)[1]
-        for p, q in [(1, 2), (3, 4), (5, 6)]:
-            assert f.a_coefficient(p, q) == fresh.a_coefficient(p, q)
-
 
 class TestInvariantDifferential:
     def test_additive_is_one(self):
