@@ -253,19 +253,6 @@ class FormalGroupLaw:
                 lp = lp + (s ** (k - 1) * c).scale(k)
         return lp.truncate(ctx.deg_bound - 1).invert_unit()
 
-    # -- specialization ---------------------------------------------------
-
-    def specialization_assignment(self, target):
-        """m-assignments realizing the additive/multiplicative collapse."""
-        ctx = self.ctx
-        if target == "additive":
-            return {"m%d" % i: 0 for i in range(1, ctx.m_order + 1)}
-        if target == "multiplicative":
-            beta = Series.gen(ctx, "beta")
-            return {"m%d" % i: (beta ** i).scale(Fraction((-1) ** i, i + 1))
-                    for i in range(1, ctx.m_order + 1)}
-        raise ValueError("unknown specialization %r" % (target,))
-
 
 def _coefficient_of_power(series, var, k):
     """Coefficient of var^k as a Series (var removed) over the same context."""

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from operator import lshift
 
 SLOT_BITS = 6          # exponent field width for ordinary generators
 T_SLOT_BITS = 8        # t gets a wider field (degree-0, exponents grow)
@@ -423,6 +424,9 @@ class Series:
                       self.bound)
 
     def __mul__(self, other):
+        """Truncated product.  The smaller operand is bucketed by
+        (x,b)-degree, so each term of the bigger one skips its truncated
+        products wholesale and a large cached factor is never re-bucketed."""
         if not isinstance(other, Series):
             return self.scale(other)
         self._check(other)
@@ -433,12 +437,11 @@ class Series:
             a, b = b, a
         if not a:
             return Series.zero(ctx, bound)
-        # bucket the bigger operand by (x,b)-degree so that truncated
-        # products are skipped wholesale
+        dsh, dmask = ctx._deg_shift, ctx._deg_mask
         buckets = {}
-        for k, c in b.items():
-            buckets.setdefault(ctx.key_deg(k), []).append((k, c))
-        degs = sorted(buckets)
+        for k, c in a.items():
+            buckets.setdefault((k >> dsh) & dmask, []).append((k, c))
+        buckets = sorted(buckets.items())
         out = {}
         wcap = ctx.m_weight_cap
         wsh = ctx._w_shift
@@ -448,15 +451,12 @@ class Series:
             tsh = ctx._shifts[ctx._t_slot]
             tmask = ctx._slot_masks[ctx._t_slot]
             tb = ctx.t_bound
-        for ka, ca in a.items():
-            da = ctx.key_deg(ka)
-            room = bound - da
-            if room < 0:
-                continue
-            for db in degs:
-                if db > room:
+        for kb, cb in b.items():
+            room = bound - ((kb >> dsh) & dmask)
+            for da, items in buckets:
+                if da > room:
                     break
-                for kb, cb in buckets[db]:
+                for ka, ca in items:
                     k = ka + kb
                     if (k >> wsh) & wmask > wcap:
                         continue
@@ -467,8 +467,6 @@ class Series:
                         out.pop(k, None)
                     else:
                         out[k] = v
-        for k in [k for k, v in out.items() if v == 0]:
-            del out[k]
         return Series(self.ctx, {k: _normalize_coeff(v) for k, v in out.items()}, bound)
 
     __rmul__ = __mul__
@@ -495,23 +493,9 @@ class Series:
         t = {k: c for k, c in self.terms.items() if ctx.key_deg(k) <= d}
         return Series(ctx, t, min(self.bound, d))
 
-    def graded_component(self, d):
-        """Terms of graded total degree d (deg m_i = -i, deg beta = -1)."""
-        ctx = self.ctx
-        t = {k: c for k, c in self.terms.items() if ctx.key_total_degree(k) == d}
-        return Series(ctx, t, self.bound)
-
-    def graded_degrees(self):
-        ctx = self.ctx
-        return sorted({ctx.key_total_degree(k) for k in self.terms})
-
     def is_homogeneous(self, d=None):
-        degs = self.graded_degrees()
-        if not degs:
-            return True
-        if len(degs) > 1:
-            return False
-        return d is None or degs[0] == d
+        degs = {self.ctx.key_total_degree(k) for k in self.terms}
+        return len(degs) <= 1 and (d is None or degs <= {d})
 
     # -- structural operations -------------------------------------------
 
@@ -543,37 +527,51 @@ class Series:
         """Sum of sign * (w . self) over the given (w, sign) pairs.
 
         Each w moves x-exponents as in ``act_permutation``.  The x-variables
-        occupy the low SLOT_BITS * n_x bits of a key, and permuting them
-        changes neither derived field, so the terms are grouped by that
-        x-part once; each permutation then re-packs every distinct x-part
-        once and adds +-c straight into a single accumulator.
+        occupy the low SLOT_BITS * n_x bits of a key and permuting them
+        changes neither derived field, so terms are grouped by x-exponents
+        e.  Two permutations send e to one image exactly when they differ
+        by an element of e's stabilizer, which depends only on e's equality
+        pattern: once per pattern the permutations are grouped by image,
+        their signs summed and the groups that cancel dropped (over S_n, an
+        e with a repeated exponent keeps none).  Every e then re-packs only
+        the survivors and adds (sign sum) * c into a single accumulator.
         """
         ctx = self.ctx
         nx = ctx.n_x
         xmask = (1 << (SLOT_BITS * nx)) - 1
         slot = (1 << SLOT_BITS) - 1
+        perms = []
+        for w, sign in signed_perms:
+            if len(w.images) != nx:
+                raise ValueError("permutation length disagrees with n_x")
+            perms.append((tuple(SLOT_BITS * (j - 1) for j in w.images), sign))
         groups = {}
         for key, c in self.terms.items():
             xpart = key & xmask
             groups.setdefault(xpart, []).append((key - xpart, c))
-        exps = [(tuple((xpart >> (SLOT_BITS * i)) & slot for i in range(nx)), items)
-                for xpart, items in groups.items()]
+        survivors = {}
         out = {}
         get = out.get
-        for w, sign in signed_perms:
-            if len(w.images) != nx:
-                raise ValueError("permutation length disagrees with n_x")
-            shifts = tuple(SLOT_BITS * (j - 1) for j in w.images)
-            for e, items in exps:
-                image = sum(ei << sh for ei, sh in zip(e, shifts))
-                if sign > 0:
+        for xpart, items in groups.items():
+            e = tuple((xpart >> (SLOT_BITS * i)) & slot for i in range(nx))
+            pattern = tuple(e.index(v) for v in e)
+            kept = survivors.get(pattern)
+            if kept is None:
+                by_image = {}
+                for shifts, sign in perms:
+                    image = sum(map(lshift, e, shifts))
+                    by_image.setdefault(image, [shifts, 0])[1] += sign
+                kept = survivors[pattern] = [g for g in by_image.values() if g[1]]
+            for shifts, s in kept:
+                image = sum(map(lshift, e, shifts))
+                if s == 1:
                     for rest, c in items:
                         k = rest + image
                         out[k] = get(k, 0) + c
                 else:
                     for rest, c in items:
                         k = rest + image
-                        out[k] = get(k, 0) - c
+                        out[k] = get(k, 0) + s * c
         return Series(ctx, {k: _normalize_coeff(v) for k, v in out.items() if v},
                       self.bound)
 
@@ -637,7 +635,14 @@ class Series:
     def exact_divide_linear(self, i, j):
         """Exact quotient by (x_i - x_j); raises RemainderError otherwise.
 
-        The quotient is trusted one degree lower than the input.
+        The terms are grouped by their image r = x_j^d R under x_i -> x_j.
+        Since c x_i^a x_j^(d-a) R = (x_i - x_j) c sum_{k<a} x_i^k x_j^(d-1-k) R
+        + c r, a group sum_a c_a x_i^a x_j^(d-a) R has the quotient
+        coefficient sum_{a>k} c_a at x_i^k x_j^(d-1-k) R, a suffix sum
+        over its exponents in descending order, and leaves the remainder
+        sum_a c_a r, which must vanish.  The error names the first nonzero
+        remainder term found.  The quotient is trusted one degree lower
+        than the input.
         """
         if i == j:
             raise ValueError("indices must differ")
@@ -646,30 +651,30 @@ class Series:
         uj = ctx._units[ctx._gen_index["x%d" % j]]
         shi = ctx._shifts[ctx._gen_index["x%d" % i]]
         mask = (1 << SLOT_BITS) - 1
-        q = {}
-        rem = {}
+        step = ui - uj
+        groups = {}
         for key, c in self.terms.items():
-            e = (key >> shi) & mask
-            if e:
-                # c x_i^e R = (x_i - x_j) * c * sum_{k<e} x_i^k x_j^{e-1-k} R
-                #             + c x_j^e R
-                base = key - e * ui
-                for k in range(e):
-                    nk = base + k * ui + (e - 1 - k) * uj
-                    v = q.get(nk, 0) + c
-                    if v == 0:
-                        q.pop(nk, None)
-                    else:
-                        q[nk] = v
-                key = base + e * uj
-            v = rem.get(key, 0) + c
-            if v == 0:
-                rem.pop(key, None)
-            else:
-                rem[key] = v
-        if rem:
-            raise RemainderError(
-                "nonzero remainder dividing by (x%d - x%d)" % (i, j))
+            a = (key >> shi) & mask
+            r = key - a * step
+            groups.setdefault(r, []).append((a, c))
+        q = {}
+        for r, items in groups.items():
+            # exponents are distinct within a group, so the sort never
+            # compares coefficients
+            items.sort(reverse=True)
+            base = r - uj
+            s = 0
+            top = 0
+            for a, c in items:
+                if s:
+                    for k in range(a, top):
+                        q[base + k * step] = s
+                s += c
+                top = a
+            if s:
+                raise RemainderError(
+                    "nonzero remainder %s dividing by (x%d - x%d)"
+                    % (Series(ctx, {r: s}, self.bound).text(), i, j))
         return Series(ctx, q, self.bound - 1)
 
     def specialize(self, assignment):

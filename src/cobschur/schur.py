@@ -12,8 +12,12 @@ Vandermonde factors times the inverse pair units).  Since w.V = sign(w) V,
 the engine builds K once per spec, forms the single product
 P = numerator * K, sums sign(w) * w.P over the cosets in one fused pass,
 and divides the total by the Vandermonde with repeated exact linear
-divisions.  A nonzero remainder in the final division step signals an
-invalid numerator/coset combination and raises RemainderError.
+divisions.  The pass sums the signs of the cosets that share an image of
+an exponent vector (they differ by its stabilizer) and skips the groups
+that cancel; each division reads its quotient off suffix sums of the
+terms grouped by their image under x_i -> x_j.  A nonzero remainder in a
+division step signals an invalid numerator/coset combination and raises
+RemainderError, which names the remainder monomial.
 
 A numerator trusted to degree B yields a symmetrized value trusted to
 B - 1 - (number of Vandermonde pairs); callers size their context bound

@@ -43,3 +43,10 @@ def random_series(ctx, rng, max_terms=5, zero_const=False):
     if not terms:
         terms = {ctx.key_from_exps({names[0]: 1}): 1}
     return Series(ctx, terms, ctx.deg_bound)
+
+
+def graded_component(series, d):
+    """Terms of graded total degree d (deg m_i = -i, deg beta = -1)."""
+    ctx = series.ctx
+    t = {k: c for k, c in series.terms.items() if ctx.key_total_degree(k) == d}
+    return Series(ctx, t, series.bound)

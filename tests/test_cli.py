@@ -177,6 +177,17 @@ class TestSegre:
         assert code == EXIT_OK, err
         assert json.loads(out)["context"]["m_weight_cap"] == 59
 
+    @pytest.mark.parametrize("argv, flag", [
+        (("--n", "1", "--deg", "0"), "--deg must be at least 1"),
+        (("--n", "1", "--deg", "-1"), "--deg must be at least 1"),
+        (("--n", "-2", "--deg", "2"), "--n must be non-negative"),
+    ])
+    def test_bad_deg_or_n_names_its_flag(self, capsys, argv, flag):
+        code, out, err = run(capsys, "segre", "--kmin", "0", "--kmax", "0",
+                             "--mode", "additive", *argv)
+        assert code == EXIT_INVALID
+        assert out == "" and "error: " + flag in err
+
     def test_custom_mode_rejected(self, capsys, tmp_path):
         path = tmp_path / "m.json"
         path.write_text(json.dumps({"m1": "1"}))

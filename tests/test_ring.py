@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from cobschur import (RingContext, Series, Permutation, ContextMismatch,
                       NotAUnit, RemainderError, TruncationError)
-from conftest import random_series
+from cobschur.ring import SLOT_BITS, _normalize_coeff
+from cobschur.schur import _extend_permutation, coset_reps
+from conftest import graded_component, random_series
 
 
 def gens(ctx, *names):
@@ -116,6 +119,17 @@ class TestLinearDivision:
         with pytest.raises(RemainderError):
             (x1 * x2).exact_divide_linear(1, 2)
 
+    def test_remainder_error_names_the_monomial(self, small_ctx):
+        f = Series.monomial(small_ctx, {"m1": 1, "x1": 4}, coeff=3)
+        with pytest.raises(RemainderError, match=re.escape(
+                "nonzero remainder 3*m1*x2^4 dividing by (x1 - x2)")):
+            f.exact_divide_linear(1, 2)
+        # x1^2 + x1*x2 leaves 2*x2^2 on dividing by (x1 - x2)
+        x1, x2 = gens(small_ctx, "x1", "x2")
+        with pytest.raises(RemainderError, match=re.escape(
+                "nonzero remainder 2*x2^2 dividing by (x1 - x2)")):
+            (x1 * x1 + x1 * x2).exact_divide_linear(1, 2)
+
 
 class TestPermutationAction:
     def test_transposition(self, small_ctx):
@@ -141,14 +155,14 @@ class TestGradedComponent:
     def test_mixed_degree_one(self, small_ctx):
         f = (Series.gen(small_ctx, "x1")
              + Series.monomial(small_ctx, {"m1": 1, "x1": 2}))
-        assert f.graded_component(1) == f
+        assert graded_component(f, 1) == f
 
     def test_missing_degree_is_zero(self, small_ctx):
-        assert Series.gen(small_ctx, "x1").graded_component(2).is_zero()
+        assert graded_component(Series.gen(small_ctx, "x1"), 2).is_zero()
 
     def test_b_counts_in_degree(self, small_ctx):
         f = Series.monomial(small_ctx, {"b1": 1, "x1": 1})
-        assert f.graded_component(2) == f
+        assert graded_component(f, 2) == f
 
 
 class TestSerialization:
@@ -171,3 +185,284 @@ class TestSerialization:
         s = Series.const(small_ctx, 1) - Series.monomial(
             small_ctx, {"m1": 1, "x1": 2}, coeff=2)
         assert s.text() == "1 - 2*m1*x1^2"
+
+# ---------------------------------------------------------------------------
+# Differential tests: the product, the signed orbit sum and the linear
+# division against the plain dict loops they replaced, kept here verbatim
+# as references.  The orbit sum used to re-pack every x-part once per
+# permutation, and the division expanded every term x_i^e into its e
+# quotient terms.
+
+
+def reference_mul(self, other):
+    if not isinstance(other, Series):
+        return self.scale(other)
+    self._check(other)
+    ctx = self.ctx
+    bound = min(self.bound, other.bound)
+    a, b = self.terms, other.terms
+    if len(a) > len(b):
+        a, b = b, a
+    if not a:
+        return Series.zero(ctx, bound)
+    # bucket the bigger operand by (x,b)-degree so that truncated
+    # products are skipped wholesale
+    buckets = {}
+    for k, c in b.items():
+        buckets.setdefault(ctx.key_deg(k), []).append((k, c))
+    degs = sorted(buckets)
+    out = {}
+    wcap = ctx.m_weight_cap
+    wsh = ctx._w_shift
+    wmask = ctx._w_mask
+    tcheck = ctx._t_slot is not None and ctx.t_bound < ctx._slot_masks[ctx._t_slot]
+    if tcheck:
+        tsh = ctx._shifts[ctx._t_slot]
+        tmask = ctx._slot_masks[ctx._t_slot]
+        tb = ctx.t_bound
+    for ka, ca in a.items():
+        da = ctx.key_deg(ka)
+        room = bound - da
+        if room < 0:
+            continue
+        for db in degs:
+            if db > room:
+                break
+            for kb, cb in buckets[db]:
+                k = ka + kb
+                if (k >> wsh) & wmask > wcap:
+                    continue
+                if tcheck and (k >> tsh) & tmask > tb:
+                    continue
+                v = out.get(k, 0) + ca * cb
+                if v == 0:
+                    out.pop(k, None)
+                else:
+                    out[k] = v
+    for k in [k for k, v in out.items() if v == 0]:
+        del out[k]
+    return Series(self.ctx, {k: _normalize_coeff(v) for k, v in out.items()}, bound)
+
+
+def reference_signed_orbit_sum(self, signed_perms):
+    """Sum of sign * (w . self) over the given (w, sign) pairs.
+
+    Each w moves x-exponents as in ``act_permutation``.  The x-variables
+    occupy the low SLOT_BITS * n_x bits of a key, and permuting them
+    changes neither derived field, so the terms are grouped by that
+    x-part once; each permutation then re-packs every distinct x-part
+    once and adds +-c straight into a single accumulator.
+    """
+    ctx = self.ctx
+    nx = ctx.n_x
+    xmask = (1 << (SLOT_BITS * nx)) - 1
+    slot = (1 << SLOT_BITS) - 1
+    groups = {}
+    for key, c in self.terms.items():
+        xpart = key & xmask
+        groups.setdefault(xpart, []).append((key - xpart, c))
+    exps = [(tuple((xpart >> (SLOT_BITS * i)) & slot for i in range(nx)), items)
+            for xpart, items in groups.items()]
+    out = {}
+    get = out.get
+    for w, sign in signed_perms:
+        if len(w.images) != nx:
+            raise ValueError("permutation length disagrees with n_x")
+        shifts = tuple(SLOT_BITS * (j - 1) for j in w.images)
+        for e, items in exps:
+            image = sum(ei << sh for ei, sh in zip(e, shifts))
+            if sign > 0:
+                for rest, c in items:
+                    k = rest + image
+                    out[k] = get(k, 0) + c
+            else:
+                for rest, c in items:
+                    k = rest + image
+                    out[k] = get(k, 0) - c
+    return Series(ctx, {k: _normalize_coeff(v) for k, v in out.items() if v},
+                  self.bound)
+
+
+def reference_exact_divide_linear(self, i, j):
+    """Exact quotient by (x_i - x_j); raises RemainderError otherwise.
+
+    The quotient is trusted one degree lower than the input.
+    """
+    if i == j:
+        raise ValueError("indices must differ")
+    ctx = self.ctx
+    ui = ctx._units[ctx._gen_index["x%d" % i]]
+    uj = ctx._units[ctx._gen_index["x%d" % j]]
+    shi = ctx._shifts[ctx._gen_index["x%d" % i]]
+    mask = (1 << SLOT_BITS) - 1
+    q = {}
+    rem = {}
+    for key, c in self.terms.items():
+        e = (key >> shi) & mask
+        if e:
+            # c x_i^e R = (x_i - x_j) * c * sum_{k<e} x_i^k x_j^{e-1-k} R
+            #             + c x_j^e R
+            base = key - e * ui
+            for k in range(e):
+                nk = base + k * ui + (e - 1 - k) * uj
+                v = q.get(nk, 0) + c
+                if v == 0:
+                    q.pop(nk, None)
+                else:
+                    q[nk] = v
+            key = base + e * uj
+        v = rem.get(key, 0) + c
+        if v == 0:
+            rem.pop(key, None)
+        else:
+            rem[key] = v
+    if rem:
+        raise RemainderError(
+            "nonzero remainder dividing by (x%d - x%d)" % (i, j))
+    return Series(ctx, q, self.bound - 1)
+
+
+# exponent values: a series draws its x-exponents from one to three of
+# them, so exponent vectors repeat entries (all-equal ones included), and
+# 58-60 reach the top of the 6-bit slot that MAX_DEG_BOUND = 60 leaves
+EXPONENTS = (0, 1, 2, 3, 7, 29, 30, 58, 59, 60)
+NONZERO = st.integers(-4, 4).filter(bool)
+COEFFS = st.one_of(NONZERO, st.builds(Fraction, NONZERO, st.integers(2, 5)))
+
+
+def wide_ctx(n, deg_bound=60, m_weight_cap=None, t_bound=63):
+    return RingContext(n_x=n, n_b=1, m_order=2, deg_bound=deg_bound,
+                       scalars=("t",), m_weight_cap=m_weight_cap,
+                       t_bound=t_bound)
+
+
+@st.composite
+def wide_series(draw, ctx, max_terms=10):
+    """Int and Fraction coefficients on monomials in x, b1, t and m1."""
+    palette = draw(st.lists(st.sampled_from(EXPONENTS), min_size=1,
+                            max_size=3, unique=True))
+    terms = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        exps = {"x%d" % i: draw(st.sampled_from(palette))
+                for i in range(1, ctx.n_x + 1)}
+        exps.update(b1=draw(st.integers(0, 1)), t=draw(st.integers(0, 2)),
+                    m1=draw(st.integers(0, 2)))
+        if sum(e for nm, e in exps.items() if nm[0] in "xb") > ctx.deg_bound:
+            continue
+        key = ctx.key_from_exps(exps)
+        terms[key] = _normalize_coeff(terms.get(key, 0) + draw(COEFFS))
+    return Series(ctx, {k: c for k, c in terms.items() if c}, ctx.deg_bound)
+
+
+@st.composite
+def composition(draw, k):
+    blocks = []
+    while sum(blocks) < k:
+        blocks.append(draw(st.integers(1, k - sum(blocks))))
+    return tuple(blocks)
+
+
+@st.composite
+def signed_perm_lists(draw, ctx):
+    """Full S_n, coset representatives, either of them on a var_ids
+    subset, or arbitrary permutations (repeats allowed) with arbitrary
+    signs."""
+    n = ctx.n_x
+    kind = draw(st.sampled_from(("full", "cosets", "var_ids", "arbitrary")))
+    if kind == "arbitrary":
+        ws = draw(st.lists(st.permutations(range(1, n + 1)), max_size=8))
+        return [(Permutation(w), draw(st.sampled_from((1, -1)))) for w in ws]
+    var_ids = tuple(range(1, n + 1))
+    if kind == "var_ids":
+        var_ids = tuple(draw(st.permutations(var_ids))[:draw(st.integers(1, n))])
+    k = len(var_ids)
+    blocks = (1,) * k if kind == "full" else draw(composition(k))
+    return [(_extend_permutation(ctx, var_ids, w), w.sign())
+            for w in coset_reps(k, blocks)]
+
+
+def same_series(got, want):
+    return got.terms == want.terms and got.bound == want.bound
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_signed_orbit_sum_matches_reference(data):
+    ctx = wide_ctx(data.draw(st.integers(1, 4)))
+    s = data.draw(wide_series(ctx))
+    perms = data.draw(signed_perm_lists(ctx))
+    assert same_series(s.signed_orbit_sum(perms),
+                       reference_signed_orbit_sum(s, perms))
+
+
+def test_orbit_sum_keeps_equality_patterns_apart():
+    # (1, 1, 2) and (1, 2, 2) have the same number of distinct exponents
+    # but different stabilizers: id and (1 2) send the first to one image
+    # and the second to two
+    ctx = wide_ctx(3)
+    s = (Series.monomial(ctx, {"x1": 1, "x2": 1, "x3": 2})
+         + Series.monomial(ctx, {"x1": 1, "x2": 2, "x3": 2}, coeff=Fraction(1, 3)))
+    perms = [(Permutation((1, 2, 3)), 1), (Permutation((2, 1, 3)), 1),
+             (Permutation((3, 2, 1)), -1)]
+    got = s.signed_orbit_sum(perms)
+    assert same_series(got, reference_signed_orbit_sum(s, perms))
+    assert got.terms[ctx.key_from_exps({"x1": 1, "x2": 1, "x3": 2})] == 2
+
+
+def divide_both(f, i, j):
+    """Both divisions agree in terms and bound, or both raise."""
+    try:
+        want = reference_exact_divide_linear(f, i, j)
+    except RemainderError:
+        with pytest.raises(RemainderError):
+            f.exact_divide_linear(i, j)
+        return None
+    got = f.exact_divide_linear(i, j)
+    assert same_series(got, want)
+    return got
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_exact_divide_linear_matches_reference(data):
+    n = data.draw(st.integers(2, 4))
+    ctx = wide_ctx(n)
+    i, j = data.draw(st.permutations(range(1, n + 1)))[:2]
+    g = data.draw(wide_series(ctx))
+    f = (Series.gen(ctx, "x%d" % i) - Series.gen(ctx, "x%d" % j)) * g
+    if data.draw(st.booleans()):
+        f = f + data.draw(wide_series(ctx, max_terms=2))
+    for a in range(1, n + 1):
+        for b in range(1, n + 1):
+            if a != b:
+                divide_both(f, a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_vandermonde_division_of_orbit_sum_matches_reference(data):
+    # the engine's use: an alternating sum over S_n divided by every
+    # x_i - x_j in turn
+    n = data.draw(st.integers(2, 4))
+    ctx = wide_ctx(n)
+    s = data.draw(wide_series(ctx, max_terms=4))
+    perms = [(w, w.sign()) for w in coset_reps(n, (1,) * n)]
+    total = s.signed_orbit_sum(perms)
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            total = divide_both(total, i, j)
+            if total is None:
+                return
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_product_matches_reference(data):
+    n = data.draw(st.integers(1, 3))
+    ctx = wide_ctx(n, deg_bound=data.draw(st.sampled_from((6, 60))),
+                   m_weight_cap=3, t_bound=3)
+    a = data.draw(wide_series(ctx, max_terms=2))
+    b = data.draw(wide_series(ctx, max_terms=12))
+    a = a.truncate(data.draw(st.integers(0, ctx.deg_bound)))
+    assert same_series(a * b, reference_mul(a, b))
+    assert same_series(b * a, reference_mul(a, b))
