@@ -63,7 +63,8 @@ def run(tree, workload, seed, seconds, trace):
     try:
         result = json.loads(lines[-1])
     except (IndexError, ValueError):
-        result = {"correct": False, "attempted": 0, "failed": None, "metrics": {}}
+        # no result line: count the run as one failed operation
+        result = {"correct": False, "attempted": 0, "failed": 1, "metrics": {}}
     result["exit_code"] = proc.returncode
     return result
 
@@ -79,12 +80,12 @@ def summarize(pairs, better):
     """Per-metric medians, quartiles and pairwise wins of head over base."""
     out = {}
     for name, direction in better.items():
-        base = [p["base"]["metrics"][name]["value"] for p in pairs
+        both = [(p["base"]["metrics"][name]["value"], p["head"]["metrics"][name]["value"])
+                for p in pairs
                 if name in p["base"]["metrics"] and name in p["head"]["metrics"]]
-        head = [p["head"]["metrics"][name]["value"] for p in pairs
-                if name in p["base"]["metrics"] and name in p["head"]["metrics"]]
-        if not base:
+        if not both:
             continue
+        base, head = [b for b, _ in both], [h for _, h in both]
         sign = 1 if direction == "higher" else -1
         bq, hq = quartiles(base), quartiles(head)
         iqr = bq[2] - bq[0]
@@ -167,7 +168,7 @@ def main(argv=None):
                                 args.seconds, 1) for side in trees}
             report["workloads"][workload] = {
                 "metrics": summarize(pairs, better),
-                "failed": {side: sum(p[side]["failed"] or 0 for p in pairs)
+                "failed": {side: sum(p[side]["failed"] for p in pairs)
                            for side in trees},
                 "attempted": {side: sum(p[side]["attempted"] for p in pairs)
                               for side in trees},
