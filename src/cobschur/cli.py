@@ -209,10 +209,10 @@ def cmd_verify(args):
 def cmd_segre(args):
     if args.kmin > args.kmax:
         raise CliError("--kmin exceeds --kmax")
-    if args.deg < 1:
-        raise CliError("--deg must be at least 1")
     if args.n < 0:
         raise CliError("--n must be non-negative")
+    if args.deg < min(args.n, 1):  # the window needs x_1 itself
+        raise CliError("--deg must be at least %d" % min(args.n, 1))
     if args.mode == "custom":
         raise CliError("segre windows need a graded mode (universal, additive "
                        "or multiplicative), not --mode custom")

@@ -180,13 +180,24 @@ class TestSegre:
     @pytest.mark.parametrize("argv, flag", [
         (("--n", "1", "--deg", "0"), "--deg must be at least 1"),
         (("--n", "1", "--deg", "-1"), "--deg must be at least 1"),
+        (("--n", "0", "--deg", "-1"), "--deg must be at least 0"),
         (("--n", "-2", "--deg", "2"), "--n must be non-negative"),
+        (("--n", "-2", "--deg", "0"), "--n must be non-negative"),
     ])
     def test_bad_deg_or_n_names_its_flag(self, capsys, argv, flag):
         code, out, err = run(capsys, "segre", "--kmin", "0", "--kmax", "0",
                              "--mode", "additive", *argv)
         assert code == EXIT_INVALID
         assert out == "" and "error: " + flag in err
+
+    def test_no_variables_allow_deg_zero(self, capsys):
+        # with --n 0 there is no x_1, so --deg 0 gives the trivial window
+        code, out, err = run(capsys, "segre", "--n", "0", "--kmin", "0",
+                             "--kmax", "0", "--mode", "additive", "--deg", "0")
+        assert code == EXIT_OK, err
+        doc = json.loads(out)
+        assert doc["D"] == 0 and doc["coeffs"] == {
+            "0": [{"den": "1", "exps": {}, "num": "1"}]}
 
     def test_custom_mode_rejected(self, capsys, tmp_path):
         path = tmp_path / "m.json"

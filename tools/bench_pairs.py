@@ -2,14 +2,15 @@
 """Compare two revisions on the benchmark in alternating pairs.
 
     python3 tools/bench_pairs.py --base REV --head REV --out BENCH_6.json \
-        [--seeds 601-610] [--seconds 10] [--trace-seed 3] [--workloads a,b]
+        [--seeds 601-610]
 
 Both revisions are exported with ``git archive`` into a scratch directory,
 and ``perfbench/run.py`` runs from each export, so each side imports only
-its own ``src/``.  For every workload and seed the two sides run back to
+its own ``src/``.  Every workload in ``BENCHMARK.json`` runs for its
+``run_seconds``.  For every workload and seed the two sides run back to
 back, base first on even pairs and head first on odd ones, so drift in
 the machine's speed falls on both sides alike.  One ``--trace 1`` run per
-side and workload adds the per-layer rows.
+side and workload, on seed ``TRACE_SEED``, adds the per-layer rows.
 
 The output file holds, per workload and end-to-end metric, the medians and
 quartiles of each side, the head's wins over the base pair by pair, and
@@ -29,6 +30,7 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TRACE_SEED = 3
 
 
 def git(*args):
@@ -128,10 +130,6 @@ def main(argv=None):
     ap.add_argument("--head", required=True, help="changed revision")
     ap.add_argument("--out", required=True, help="JSON file to write")
     ap.add_argument("--seeds", default="601-610", help="LO-HI or a,b,c")
-    ap.add_argument("--seconds", type=float, default=10)
-    ap.add_argument("--trace-seed", type=int, default=3)
-    ap.add_argument("--workloads", default=None,
-                    help="comma-separated; default: every BENCHMARK.json workload")
     args = ap.parse_args(argv)
 
     shas = {side: git("rev-parse", rev) for side, rev in
@@ -144,28 +142,27 @@ def main(argv=None):
         with open(os.path.join(trees["head"], "BENCHMARK.json")) as f:
             bench = json.load(f)
         better = {m["name"]: m["better"] for m in bench["end_to_end"]}
-        workloads = (args.workloads.split(",") if args.workloads
-                     else [w["name"] for w in bench["workloads"]])
+        seconds = bench["run_seconds"]
         seeds = parse_seeds(args.seeds)
         report = {"shas": shas, "machine": machine(), "seeds": seeds,
-                  "seconds": args.seconds, "trace_seed": args.trace_seed,
+                  "seconds": seconds, "trace_seed": TRACE_SEED,
                   "src_lines": {side: src_lines(t) for side, t in trees.items()},
                   "workloads": {}}
-        for workload in workloads:
+        for workload in [w["name"] for w in bench["workloads"]]:
             pairs = []
             for i, seed in enumerate(seeds):
                 order = ("base", "head") if i % 2 == 0 else ("head", "base")
                 pair = {"seed": seed, "first": order[0]}
                 for side in order:
-                    pair[side] = run(trees[side], workload, seed, args.seconds, 0)
+                    pair[side] = run(trees[side], workload, seed, seconds, 0)
                     print("%s seed %d %s: %s" % (
                         workload, seed, side,
                         {k: round(v["value"], 4)
                          for k, v in pair[side]["metrics"].items()}),
                         file=sys.stderr)
                 pairs.append(pair)
-            traces = {side: run(trees[side], workload, args.trace_seed,
-                                args.seconds, 1) for side in trees}
+            traces = {side: run(trees[side], workload, TRACE_SEED, seconds, 1)
+                      for side in trees}
             report["workloads"][workload] = {
                 "metrics": summarize(pairs, better),
                 "failed": {side: sum(p[side]["failed"] for p in pairs)
