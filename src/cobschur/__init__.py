@@ -13,19 +13,19 @@ from .ring import (RingContext, Series, Permutation, RingError,
                    ContextMismatch, NotAUnit, RemainderError,
                    TruncationError, BudgetError, series_sum)
 from .fgl import FormalGroupLaw
-from .schur import (Partition, SymmetrizerSpec, coset_reps,
+from .schur import (Partition, SymmetrizerSpec, NotInvariant, coset_reps,
                     subgroup_elements, symmetrize, factorial_power,
                     double_factorial_power, bracket_monomial, rho,
                     partitions_up_to, universal_schur_s, universal_schur_p,
                     universal_schur_q, universal_hall_littlewood,
                     new_universal_schur, new_universal_schur_one_row,
                     universal_schur_kl)
-from .gysin import (LaurentWindow, WindowExhausted, NotInvariant,
-                    ConsistencyError, VerifiedClass, pushforward_full_flag,
-                    pushforward_partial_flag, pushforward_between_flags,
-                    grassmannian_pushforward, projective_residue,
-                    segre_series, required_weight_cap, thom_porteous_class,
-                    kempf_laksov_class, darondeau_pragacz_pushforward)
+from .gysin import (LaurentWindow, WindowExhausted, VerifiedClass,
+                    pushforward_full_flag, pushforward_partial_flag,
+                    pushforward_between_flags, grassmannian_pushforward,
+                    projective_residue, segre_series, required_weight_cap,
+                    thom_porteous_class, kempf_laksov_class,
+                    darondeau_pragacz_pushforward)
 from . import oracles
 from .suites import SUITES, run_suite, VerificationReport, series_match
 

@@ -21,7 +21,7 @@ from .schur import (Partition, universal_schur_s, universal_schur_p,
 from .gysin import (segre_series, required_weight_cap, MAX_WINDOW_CAP,
                     pushforward_full_flag, pushforward_partial_flag,
                     pushforward_between_flags, grassmannian_pushforward,
-                    WindowExhausted, NotInvariant, ConsistencyError)
+                    WindowExhausted, NotInvariant)
 from .suites import SUITES, run_suite
 
 EXIT_OK = 0
@@ -409,7 +409,7 @@ def main(argv=None):
     except (BudgetError, WindowExhausted, NotInvariant, TruncationError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INVALID
-    except (RemainderError, ConsistencyError) as exc:
+    except RemainderError as exc:
         print("internal assertion failure: %s" % exc, file=sys.stderr)
         return EXIT_INTERNAL
 

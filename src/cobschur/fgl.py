@@ -225,18 +225,20 @@ class FormalGroupLaw:
         first call builds F(u, v) for the whole cap W (see _f_table), so
         in a context with a large cap even a_{1,1} pays for that table.
         """
-        if i < 1 or j < 1:
-            raise ValueError("a_{i,j} needs i, j >= 1")
-        if i + j - 1 > self.ctx.m_weight_cap:
-            raise TruncationError("a_{%d,%d} exceeds the weight cap" % (i, j))
-        if i + j > MAX_DEG_BOUND:
-            raise TruncationError("requested F-table degree too large")
-        F = self._f_table()
-        coeff = _coefficient_of_power(_coefficient_of_power(F, "u", i), "v", j)
-        out = _rebuild(coeff, self.ctx)
-        # the extracted coefficient is an exact polynomial in m/beta, so it
-        # is trusted to the full context bound
-        return Series(self.ctx, out.terms, self.ctx.deg_bound)
+        key = ("a", i, j)
+        if key not in self._cache:
+            if i < 1 or j < 1:
+                raise ValueError("a_{i,j} needs i, j >= 1")
+            if i + j - 1 > self.ctx.m_weight_cap:
+                raise TruncationError("a_{%d,%d} exceeds the weight cap" % (i, j))
+            if i + j > MAX_DEG_BOUND:
+                raise TruncationError("requested F-table degree too large")
+            F = self._f_table()
+            coeff = _coefficient_of_power(_coefficient_of_power(F, "u", i), "v", j)
+            # an exact polynomial in m/beta, trusted to the full context bound
+            terms = _rebuild(coeff, self.ctx).terms
+            self._cache[key] = Series(self.ctx, terms, self.ctx.deg_bound)
+        return self._cache[key]
 
     def invariant_differential_denominator(self, var="s"):
         """1 + sum_i a_{i,1} s^i, equal to dF/dv at v = 0 and to 1/log'."""

@@ -23,8 +23,8 @@ import json
 import math
 from fractions import Fraction
 
-from .ring import Series, Permutation, RingError, MAX_DEG_BOUND
-from .schur import (SymmetrizerSpec, Partition, coset_reps, symmetrize,
+from .ring import Series, RingError, MAX_DEG_BOUND
+from .schur import (SymmetrizerSpec, Partition, NotInvariant, symmetrize,
                     factorial_power, bracket_monomial, new_universal_schur,
                     universal_schur_kl, rho)
 
@@ -37,29 +37,8 @@ class WindowExhausted(RingError):
     """A requested coefficient lies outside the representable u-window."""
 
 
-class NotInvariant(ValueError):
-    """The input fails the stabilizer-invariance hypothesis."""
-
-
-class ConsistencyError(RingError):
-    """Two computation paths that must agree did not (internal assertion)."""
-
-
 # ---------------------------------------------------------------------------
 # flag-bundle pushforwards
-
-
-def _check_block_invariance(f, blocks):
-    """f must be symmetric within each block of consecutive x-variables."""
-    start = 1
-    for m in blocks:
-        for i in range(start, start + m - 1):
-            images = list(range(1, f.ctx.n_x + 1))
-            images[i - 1], images[i] = images[i], images[i - 1]
-            if not (f.act_permutation(Permutation(images)) == f):
-                raise NotInvariant(
-                    "input is not invariant under swapping x%d, x%d" % (i, i + 1))
-        start += m
 
 
 def pushforward_full_flag(fgl, f, n):
@@ -67,11 +46,9 @@ def pushforward_full_flag(fgl, f, n):
     return symmetrize(fgl, f, SymmetrizerSpec.quotient((1,) * n))
 
 
-def pushforward_partial_flag(fgl, f, lam, n, check=True):
+def pushforward_partial_flag(fgl, f, lam, n):
     """Coset sum over S_n / stab(lam) with block-separated denominator pairs."""
     lam = lam if isinstance(lam, Partition) else Partition(lam, n=n)
-    if check:
-        _check_block_invariance(f, lam.block_sizes)
     return symmetrize(fgl, f, SymmetrizerSpec.quotient(lam.block_sizes))
 
 
@@ -81,12 +58,10 @@ def pushforward_between_flags(fgl, f, lam, n):
     return symmetrize(fgl, f, SymmetrizerSpec.subgroup(lam.block_sizes))
 
 
-def grassmannian_pushforward(fgl, f, q, n, check=True):
+def grassmannian_pushforward(fgl, f, q, n):
     """Sum over S_n / (S_q x S_{n-q}) with pairs {i <= q < j}."""
     if not 1 <= q <= n:
         raise ValueError("q out of range")
-    if check:
-        _check_block_invariance(f, (q, n - q))
     return symmetrize(fgl, f, SymmetrizerSpec.quotient((q, n - q)))
 
 
@@ -421,13 +396,6 @@ class VerifiedClass:
         self.differences = {k: value - v for k, v in self.alternates.items()}
         self.ok = all(d.is_zero() for d in self.differences.values())
 
-    def require(self):
-        if not self.ok:
-            bad = [k for k, d in self.differences.items() if not d.is_zero()]
-            raise ConsistencyError(
-                "%s: computation paths disagree (%s)" % (self.name, ", ".join(bad)))
-        return self.value
-
     def __repr__(self):
         return "<VerifiedClass %s ok=%s>" % (self.name, self.ok)
 
@@ -481,8 +449,7 @@ def kempf_laksov_class(fgl, lam, d, n):
     # independent of the coset reduction: the literal full S_d sum, which
     # counts each coset (d - rr)! times
     kl_pairs = SymmetrizerSpec.quotient((1,) * rr + (d - rr,)).pair_set
-    full_sum = SymmetrizerSpec(range(1, d + 1), kl_pairs, coset_reps(d, (1,) * d))
-    path2 = symmetrize(fgl, numerator, full_sum).scale(
+    path2 = symmetrize(fgl, numerator, SymmetrizerSpec.full(d, kl_pairs)).scale(
         Fraction(1, math.factorial(d - rr)))
     kl_family = universal_schur_kl(fgl, lam, d, b_values=b_vals)
 

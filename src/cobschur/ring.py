@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from operator import lshift
 
 SLOT_BITS = 6          # exponent field width for ordinary generators
 T_SLOT_BITS = 8        # t gets a wider field (degree-0, exponents grow)
@@ -286,10 +285,6 @@ class Permutation:
     def __repr__(self):
         return "Permutation(%r)" % (self.images,)
 
-    @staticmethod
-    def identity(n):
-        return Permutation(range(1, n + 1))
-
     def sign(self):
         images = list(self.images)
         sgn, n = 1, len(images)
@@ -523,58 +518,6 @@ class Series:
             out[nk] = c
         return Series(ctx, out, self.bound)
 
-    def signed_orbit_sum(self, signed_perms):
-        """Sum of sign * (w . self) over the given (w, sign) pairs.
-
-        Each w moves x-exponents as in ``act_permutation``.  The x-variables
-        occupy the low SLOT_BITS * n_x bits of a key and permuting them
-        changes neither derived field, so terms are grouped by x-exponents
-        e.  Two permutations send e to one image exactly when they differ
-        by an element of e's stabilizer, which depends only on e's equality
-        pattern: once per pattern the permutations are grouped by image,
-        their signs summed and the groups that cancel dropped (over S_n, an
-        e with a repeated exponent keeps none).  Every e then re-packs only
-        the survivors and adds (sign sum) * c into a single accumulator.
-        """
-        ctx = self.ctx
-        nx = ctx.n_x
-        xmask = (1 << (SLOT_BITS * nx)) - 1
-        slot = (1 << SLOT_BITS) - 1
-        perms = []
-        for w, sign in signed_perms:
-            if len(w.images) != nx:
-                raise ValueError("permutation length disagrees with n_x")
-            perms.append((tuple(SLOT_BITS * (j - 1) for j in w.images), sign))
-        groups = {}
-        for key, c in self.terms.items():
-            xpart = key & xmask
-            groups.setdefault(xpart, []).append((key - xpart, c))
-        survivors = {}
-        out = {}
-        get = out.get
-        for xpart, items in groups.items():
-            e = tuple((xpart >> (SLOT_BITS * i)) & slot for i in range(nx))
-            pattern = tuple(e.index(v) for v in e)
-            kept = survivors.get(pattern)
-            if kept is None:
-                by_image = {}
-                for shifts, sign in perms:
-                    image = sum(map(lshift, e, shifts))
-                    by_image.setdefault(image, [shifts, 0])[1] += sign
-                kept = survivors[pattern] = [g for g in by_image.values() if g[1]]
-            for shifts, s in kept:
-                image = sum(map(lshift, e, shifts))
-                if s == 1:
-                    for rest, c in items:
-                        k = rest + image
-                        out[k] = get(k, 0) + c
-                else:
-                    for rest, c in items:
-                        k = rest + image
-                        out[k] = get(k, 0) + s * c
-        return Series(ctx, {k: _normalize_coeff(v) for k, v in out.items() if v},
-                      self.bound)
-
     def substitute_gen(self, name, value):
         """Replace the generator ``name`` by ``value`` (rational or Series).
 
@@ -675,6 +618,62 @@ class Series:
                 raise RemainderError(
                     "nonzero remainder %s dividing by (x%d - x%d)"
                     % (Series(ctx, {r: s}, self.bound).text(), i, j))
+        return Series(ctx, q, self.bound - 1)
+
+    def divided_difference(self, i, j):
+        """The divided difference (f - s f) / (x_i - x_j), s swapping x_i, x_j.
+
+        c x_i^a x_j^b R has the quotient c (or -c when a < b) times the sum
+        of x_i^k x_j^(d-1-k) R over min(a, b) <= k < max(a, b), d = a + b.
+        These ranges are nested around the middle of the group of terms
+        with one image x_j^d R under x_i -> x_j, so one running sum over
+        the lower ends gives each stretch of k and its mirror d - 1 - k.
+        The quotient is exact and trusted one degree lower than the input.
+        """
+        if i == j:
+            raise ValueError("indices must differ")
+        ctx = self.ctx
+        gi, gj = ctx._gen_index["x%d" % i], ctx._gen_index["x%d" % j]
+        ui, uj = ctx._units[gi], ctx._units[gj]
+        shi, shj = ctx._shifts[gi], ctx._shifts[gj]
+        mask = (1 << SLOT_BITS) - 1
+        step = ui - uj
+        groups = {}
+        for key, c in self.terms.items():
+            a = (key >> shi) & mask
+            b = (key >> shj) & mask
+            if a > b:
+                r = key - a * step
+                g = groups.get(r)
+                if g is None:
+                    groups[r] = {b: c}
+                else:
+                    g[b] = g.get(b, 0) + c
+            elif a < b:
+                r = key - a * step
+                g = groups.get(r)
+                if g is None:
+                    groups[r] = {a: -c}
+                else:
+                    g[a] = g.get(a, 0) - c
+        q = {}
+        for r, g in groups.items():
+            d = (r >> shj) & mask
+            base = r - uj
+            s = 0
+            lo = 0
+            for k in sorted(g):
+                if s:
+                    v = s if type(s) is int else _normalize_coeff(s)
+                    for m in range(lo, k):
+                        q[base + m * step] = v
+                        q[base + (d - 1 - m) * step] = v
+                s += g[k]
+                lo = k
+            if s:
+                v = s if type(s) is int else _normalize_coeff(s)
+                for m in range(lo, d - lo):
+                    q[base + m * step] = v
         return Series(ctx, q, self.bound - 1)
 
     def specialize(self, assignment):

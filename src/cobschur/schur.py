@@ -2,33 +2,36 @@
 
 The families are all of the shape
 
-    sum over coset representatives w of
+    sum over the permutations w of a spec of
         w . [ numerator / prod_{(i,j) in pairs} (x_i +_L conj(x_j)) ]
 
-and are evaluated by one engine.  Every denominator factor is split as
-(x_i - x_j) * unit and each term is moved over the full Vandermonde V, so
-the sum is  sum_w w.[numerator * K / V]  for one kernel K (the missing
-Vandermonde factors times the inverse pair units).  Since w.V = sign(w) V,
-the engine builds K once per spec, forms the single product
-P = numerator * K, sums sign(w) * w.P over the cosets in one fused pass,
-and divides the total by the Vandermonde with repeated exact linear
-divisions.  The pass sums the signs of the cosets that share an image of
-an exponent vector (they differ by its stabilizer) and skips the groups
-that cancel; each division reads its quotient off suffix sums of the
-terms grouped by their image under x_i -> x_j.  A nonzero remainder in a
-division step signals an invalid numerator/coset combination and raises
-RemainderError, which names the remainder monomial.
+and are evaluated by one engine.  Split every denominator factor as
+(x_i - x_j) * unit.  Since w.V = sign(w) V for the Vandermonde V, a sum
+over all of S_n is V^{-1} sum_w sign(w) w.(numerator * K) = d_w0(numerator
+* K), the divided difference of the longest element (Macdonald, Notes on
+Schubert polynomials, ch. II), with K the inverse pair units times the
+Vandermonde factors of the other pairs.  For a Young subgroup S_J, the sum
+over S_J with the pairs inside the blocks is d_(w0_J)(numerator * K), and
+the sum over S_n / S_J with the pairs across blocks is d_(w^J)(numerator
+* K), w^J = w0 w0_J, for an S_J-invariant numerator: the full sum counts
+each coset |S_J| times and d_w0(f V_J) = |S_J| d_(w^J) f.  In both, K is
+just the inverse pair units.  So the engine forms one product and applies
+d_p = (1 - s_p) / (x_p - x_(p+1)) along a reduced word that the spec
+fixes; a quotient numerator that S_J does not fix raises NotInvariant.
 
-A numerator trusted to degree B yields a symmetrized value trusted to
-B - 1 - (number of Vandermonde pairs); callers size their context bound
-accordingly (deg_bound = target D + pairs + 1).
+Each divided difference is exact and lowers the trusted degree by one.
+With B the least of the numerator's bound, the context's degree bound and
+the pair units' bounds, the product is formed to B minus the degree of
+the Vandermonde factors neither kept in K nor divided out, so the value is
+trusted to B - |all pairs|; callers size their context bound accordingly
+(deg_bound = target D + pairs + 1).
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .ring import Series, Permutation, BudgetError, RemainderError
+from .ring import Series, Permutation, BudgetError
 
 
 class Partition:
@@ -148,29 +151,36 @@ def subgroup_elements(n, blocks):
     return out
 
 
+class NotInvariant(ValueError):
+    """The input fails the stabilizer-invariance hypothesis."""
+
+
 class SymmetrizerSpec:
-    """Denominator pairs and the permutations the symmetrizer sums over.
+    """Denominator pairs, the permutations summed over, and how to sum.
 
-    ``var_ids`` lists the symmetrized x-variable indices (1-based); pairs
-    and permutations refer to positions within this list, so the same
-    engine serves operators acting on a subset of the variables.
-
-    Every family and pushforward is built from a block composition
-    (m_1, ..., m_d) of the positions by one of two constructors:
-    ``quotient`` sums over the cosets of S_n modulo the Young subgroup
-    S_{m_1} x ... x S_{m_d} with the pairs across blocks, and
-    ``subgroup`` sums over the Young subgroup itself with the pairs
-    inside each block.
+    Pairs, permutations and word letters refer to positions in
+    ``var_ids``, the symmetrized x-variable indices, so the engine serves
+    operators on a subset of the variables.  ``word`` lists the positions
+    p of the divided differences d_p in the order they apply, ``kept`` the
+    non-pair position pairs whose factor stays in the kernel, and
+    ``invariant`` the positions p whose swap must fix the numerator.  Build
+    specs with the constructors (see the module docstring): ``quotient``
+    and ``subgroup`` of a block composition, and ``full``.
     """
 
-    def __init__(self, var_ids, pair_set, reps):
+    def __init__(self, var_ids, pair_set, reps, word, kept=(), invariant=()):
         self.var_ids = tuple(var_ids)
         self.pair_set = tuple(sorted(pair_set))
+        if len(set(self.pair_set)) != len(self.pair_set):
+            raise ValueError("pair set lists a pair twice: %r" % (self.pair_set,))
         n = len(self.var_ids)
         for (i, j) in self.pair_set:
             if not (1 <= i < j <= n):
                 raise ValueError("pair (%d, %d) out of range" % (i, j))
         self.reps = list(reps)
+        self.word = tuple(word)
+        self.kept = tuple(kept)
+        self.invariant = tuple(invariant)
 
     @classmethod
     def quotient(cls, blocks, var_ids=None):
@@ -179,18 +189,32 @@ class SymmetrizerSpec:
         blocks, pairs = _block_pairs(blocks, across=True)
         n = sum(blocks)
         var_ids = range(1, n + 1) if var_ids is None else var_ids
-        return cls(var_ids, pairs, coset_reps(n, blocks))
+        ends = set(itertools.accumulate(blocks))
+        w_J = tuple(n + 1 - v for v in _longest_in_blocks(blocks))
+        return cls(var_ids, pairs, coset_reps(n, blocks), _reduced_word(w_J),
+                   invariant=[p for p in range(1, n) if p not in ends])
 
     @classmethod
     def subgroup(cls, blocks):
         """Every element of Young(blocks), pairs inside each block."""
         blocks, pairs = _block_pairs(blocks, across=False)
         n = sum(blocks)
-        return cls(range(1, n + 1), pairs, subgroup_elements(n, blocks))
+        return cls(range(1, n + 1), pairs, subgroup_elements(n, blocks),
+                   _reduced_word(_longest_in_blocks(blocks)))
+
+    @classmethod
+    def full(cls, n, pairs):
+        """Every element of S_n with the given pairs."""
+        kept = [p for p in _all_pairs(n) if p not in set(pairs)]
+        return cls(range(1, n + 1), pairs, coset_reps(n, (1,) * n),
+                   _reduced_word(range(n, 0, -1)), kept=kept)
 
     def all_pairs(self):
-        n = len(self.var_ids)
-        return tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
+        return _all_pairs(len(self.var_ids))
+
+
+def _all_pairs(n):
+    return tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
 
 
 def _block_pairs(blocks, across):
@@ -199,62 +223,70 @@ def _block_pairs(blocks, across):
         raise ValueError("block sizes must be non-negative: %r" % (tuple(blocks),))
     blocks = tuple(m for m in blocks if m)
     block_of = [r for r, m in enumerate(blocks) for _ in range(m)]
-    n = len(block_of)
-    pairs = tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+    pairs = tuple((i, j) for (i, j) in _all_pairs(len(block_of))
                   if (block_of[i - 1] != block_of[j - 1]) == across)
     return blocks, pairs
 
 
-def _extend_permutation(ctx, var_ids, w):
-    """Embed a permutation of positions into a permutation of all x-vars."""
-    images = list(range(1, ctx.n_x + 1))
-    for pos, target_pos in enumerate(w.images, start=1):
-        images[var_ids[pos - 1] - 1] = var_ids[target_pos - 1]
-    return Permutation(images)
+def _longest_in_blocks(blocks):
+    """w0_J in one-line notation: every block reversed."""
+    images = []
+    for end in itertools.accumulate(blocks):
+        images.extend(range(end, len(images), -1))
+    return images
+
+
+def _reduced_word(images):
+    """A reduced word of the permutation, in the order its divided
+    differences apply: bubble sort, where each swap of a descent p is
+    w = w' s_p with l(w') = l(w) - 1, so d_w = d_w' d_p."""
+    w, word = list(images), []
+    for top in range(len(w) - 1, 0, -1):
+        for p in range(top):
+            if w[p] > w[p + 1]:
+                w[p], w[p + 1] = w[p + 1], w[p]
+                word.append(p + 1)
+    return word
 
 
 def _coset_kernel(fgl, spec, bound):
-    """Vandermonde-completion kernel of the identity coset.
-
-    prod over non-pair positions p < q of (y_p - y_q)
-         * prod over pairs (i, j) of unit(y_i, y_j)^{-1},  y_p = x_{var_ids[p]},
-    truncated to the requested degree.  The kernel of coset w is
-    sign(w) * w.K: the permutation maps the pair units onto each other,
-    and the Vandermonde signs of the pair and non-pair factors multiply
-    to sign(w).
-    """
+    """The kernel prod over kept pairs (p, q) of (y_p - y_q) times prod over
+    pairs (i, j) of unit(y_i, y_j)^{-1}, y_p = x_{var_ids[p]}, to degree
+    ``bound``; x_i +_L conj(x_j) = (x_i - x_j) * unit(x_i, x_j)."""
     var = spec.var_ids
-    pairs = set(spec.pair_set)
-    if len(pairs) != len(spec.pair_set):
-        raise ValueError("pair set lists a pair twice: %r" % (spec.pair_set,))
     kernel = Series.const(fgl.ctx, 1, bound)
-    for (i, j) in spec.all_pairs():
-        if (i, j) not in pairs:
-            kernel = kernel * (fgl.x_gen(var[i - 1]) - fgl.x_gen(var[j - 1]))
+    for (i, j) in spec.kept:
+        kernel = kernel * (fgl.x_gen(var[i - 1]) - fgl.x_gen(var[j - 1]))
     for (i, j) in spec.pair_set:
-        kernel = kernel * fgl.pair_unit_inverse(var[i - 1], var[j - 1]).truncate(bound)
+        kernel = kernel * fgl.pair_unit_inverse(var[i - 1], var[j - 1])
     return kernel
 
 
 def symmetrize(fgl, numerator, spec):
-    """Evaluate the coset symmetrizer on the given numerator.
-
-    The output is trusted to numerator.bound - 1 - |all pairs|; raises
-    RemainderError when the summed numerator is not divisible by the
-    full Vandermonde (an invalid spec/numerator combination).
-    """
+    """d_w(numerator * K) for the spec's word w and kernel K, trusted to
+    B - |all pairs| (see the module docstring); raises NotInvariant for a
+    quotient numerator that the Young subgroup does not fix."""
     ctx = fgl.ctx
     var = spec.var_ids
-    kbound = min(numerator.bound, ctx.deg_bound)
+    for p in spec.invariant:
+        i, j = var[p - 1], var[p]
+        images = list(range(1, ctx.n_x + 1))
+        images[i - 1], images[j - 1] = j, i
+        if not numerator.act_permutation(images) == numerator:
+            raise NotInvariant(
+                "input is not invariant under swapping x%d, x%d" % (i, j))
+    bound = min([numerator.bound, ctx.deg_bound]
+                + [fgl.pair_unit_inverse(var[i - 1], var[j - 1]).bound
+                   for (i, j) in spec.pair_set])
+    bound -= len(spec.all_pairs()) - len(spec.word)
     cache = fgl._cache.setdefault("kernels", {})
-    ck = (var, spec.pair_set, kbound)
+    ck = (var, spec.pair_set, spec.kept, bound)
     kernel = cache.get(ck)
     if kernel is None:
-        kernel = cache[ck] = _coset_kernel(fgl, spec, kbound)
-    total = (numerator * kernel).signed_orbit_sum(
-        [(_extend_permutation(ctx, var, w), w.sign()) for w in spec.reps])
-    for (i, j) in spec.all_pairs():
-        total = total.exact_divide_linear(var[i - 1], var[j - 1])
+        kernel = cache[ck] = _coset_kernel(fgl, spec, bound)
+    total = numerator * kernel
+    for p in spec.word:
+        total = total.divided_difference(var[p - 1], var[p])
     return total
 
 
@@ -383,8 +415,8 @@ def _pq_series(fgl, nu, n, use_b, doubled):
         xi = fgl.x_gen(i)
         for j in range(i + 1, n + 1):
             numerator = numerator * fgl.formal_sum(xi, fgl.x_gen(j))
-    # numerator and kernel are both sign-alternating under S_{n-k} on the
-    # last block, so the full S_n sum is (n-k)! times this coset sum
+    # the numerator is invariant under S_{n-k} on the last block, so the
+    # full S_n sum is (n-k)! times this coset sum
     return symmetrize(fgl, numerator,
                       SymmetrizerSpec.quotient((1,) * k + (n - k,)))
 

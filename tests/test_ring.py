@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cobschur import (RingContext, Series, Permutation, ContextMismatch,
-                      NotAUnit, RemainderError, TruncationError)
+                      NotAUnit, RemainderError, TruncationError, series_sum)
 from cobschur.ring import SLOT_BITS, _normalize_coeff
-from cobschur.schur import _extend_permutation, coset_reps
+from cobschur.schur import coset_reps
 from conftest import graded_component, random_series
 
 
@@ -187,11 +187,10 @@ class TestSerialization:
         assert s.text() == "1 - 2*m1*x1^2"
 
 # ---------------------------------------------------------------------------
-# Differential tests: the product, the signed orbit sum and the linear
-# division against the plain dict loops they replaced, kept here verbatim
-# as references.  The orbit sum used to re-pack every x-part once per
-# permutation, and the division expanded every term x_i^e into its e
-# quotient terms.
+# Differential tests: the product and the linear division against the
+# plain dict loops they replaced, kept here verbatim as references (the
+# division expanded every term x_i^e into its e quotient terms), and the
+# divided difference against the linear division and against sympy.
 
 
 def reference_mul(self, other):
@@ -242,45 +241,6 @@ def reference_mul(self, other):
     for k in [k for k, v in out.items() if v == 0]:
         del out[k]
     return Series(self.ctx, {k: _normalize_coeff(v) for k, v in out.items()}, bound)
-
-
-def reference_signed_orbit_sum(self, signed_perms):
-    """Sum of sign * (w . self) over the given (w, sign) pairs.
-
-    Each w moves x-exponents as in ``act_permutation``.  The x-variables
-    occupy the low SLOT_BITS * n_x bits of a key, and permuting them
-    changes neither derived field, so the terms are grouped by that
-    x-part once; each permutation then re-packs every distinct x-part
-    once and adds +-c straight into a single accumulator.
-    """
-    ctx = self.ctx
-    nx = ctx.n_x
-    xmask = (1 << (SLOT_BITS * nx)) - 1
-    slot = (1 << SLOT_BITS) - 1
-    groups = {}
-    for key, c in self.terms.items():
-        xpart = key & xmask
-        groups.setdefault(xpart, []).append((key - xpart, c))
-    exps = [(tuple((xpart >> (SLOT_BITS * i)) & slot for i in range(nx)), items)
-            for xpart, items in groups.items()]
-    out = {}
-    get = out.get
-    for w, sign in signed_perms:
-        if len(w.images) != nx:
-            raise ValueError("permutation length disagrees with n_x")
-        shifts = tuple(SLOT_BITS * (j - 1) for j in w.images)
-        for e, items in exps:
-            image = sum(ei << sh for ei, sh in zip(e, shifts))
-            if sign > 0:
-                for rest, c in items:
-                    k = rest + image
-                    out[k] = get(k, 0) + c
-            else:
-                for rest, c in items:
-                    k = rest + image
-                    out[k] = get(k, 0) - c
-    return Series(ctx, {k: _normalize_coeff(v) for k, v in out.items() if v},
-                  self.bound)
 
 
 def reference_exact_divide_linear(self, i, j):
@@ -354,59 +314,8 @@ def wide_series(draw, ctx, max_terms=10):
     return Series(ctx, {k: c for k, c in terms.items() if c}, ctx.deg_bound)
 
 
-@st.composite
-def composition(draw, k):
-    blocks = []
-    while sum(blocks) < k:
-        blocks.append(draw(st.integers(1, k - sum(blocks))))
-    return tuple(blocks)
-
-
-@st.composite
-def signed_perm_lists(draw, ctx):
-    """Full S_n, coset representatives, either of them on a var_ids
-    subset, or arbitrary permutations (repeats allowed) with arbitrary
-    signs."""
-    n = ctx.n_x
-    kind = draw(st.sampled_from(("full", "cosets", "var_ids", "arbitrary")))
-    if kind == "arbitrary":
-        ws = draw(st.lists(st.permutations(range(1, n + 1)), max_size=8))
-        return [(Permutation(w), draw(st.sampled_from((1, -1)))) for w in ws]
-    var_ids = tuple(range(1, n + 1))
-    if kind == "var_ids":
-        var_ids = tuple(draw(st.permutations(var_ids))[:draw(st.integers(1, n))])
-    k = len(var_ids)
-    blocks = (1,) * k if kind == "full" else draw(composition(k))
-    return [(_extend_permutation(ctx, var_ids, w), w.sign())
-            for w in coset_reps(k, blocks)]
-
-
 def same_series(got, want):
     return got.terms == want.terms and got.bound == want.bound
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_signed_orbit_sum_matches_reference(data):
-    ctx = wide_ctx(data.draw(st.integers(1, 4)))
-    s = data.draw(wide_series(ctx))
-    perms = data.draw(signed_perm_lists(ctx))
-    assert same_series(s.signed_orbit_sum(perms),
-                       reference_signed_orbit_sum(s, perms))
-
-
-def test_orbit_sum_keeps_equality_patterns_apart():
-    # (1, 1, 2) and (1, 2, 2) have the same number of distinct exponents
-    # but different stabilizers: id and (1 2) send the first to one image
-    # and the second to two
-    ctx = wide_ctx(3)
-    s = (Series.monomial(ctx, {"x1": 1, "x2": 1, "x3": 2})
-         + Series.monomial(ctx, {"x1": 1, "x2": 2, "x3": 2}, coeff=Fraction(1, 3)))
-    perms = [(Permutation((1, 2, 3)), 1), (Permutation((2, 1, 3)), 1),
-             (Permutation((3, 2, 1)), -1)]
-    got = s.signed_orbit_sum(perms)
-    assert same_series(got, reference_signed_orbit_sum(s, perms))
-    assert got.terms[ctx.key_from_exps({"x1": 1, "x2": 1, "x3": 2})] == 2
 
 
 def divide_both(f, i, j):
@@ -441,18 +350,99 @@ def test_exact_divide_linear_matches_reference(data):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_vandermonde_division_of_orbit_sum_matches_reference(data):
-    # the engine's use: an alternating sum over S_n divided by every
-    # x_i - x_j in turn
+    # an alternating sum over S_n divided by every x_i - x_j in turn is
+    # the divided difference of the longest element, d_1 d_2 d_1 ... (the
+    # symmetrizer's full-flag word)
     n = data.draw(st.integers(2, 4))
     ctx = wide_ctx(n)
     s = data.draw(wide_series(ctx, max_terms=4))
-    perms = [(w, w.sign()) for w in coset_reps(n, (1,) * n)]
-    total = s.signed_orbit_sum(perms)
+    total = Series.zero(ctx)
+    for w in coset_reps(n, (1,) * n):
+        total = total + s.act_permutation(w).scale(w.sign())
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             total = divide_both(total, i, j)
-            if total is None:
-                return
+    want = s
+    for top in range(n - 1, 0, -1):
+        for p in range(1, top + 1):
+            want = want.divided_difference(p, p + 1)
+    assert same_series(total, want)
+
+
+# exponents at the edges of the 6-bit slots: 29/30 and 59/60 straddle
+# half of MAX_DEG_BOUND = 60 and its top
+DD_EXPONENTS = (0, 1, 2, 29, 30, 59, 60)
+
+
+@st.composite
+def dd_series(draw, ctx, max_terms=6):
+    """Int and Fraction coefficients on x, b1, t and m1 monomials; the
+    x-exponents come from DD_EXPONENTS, in a drawn order of the
+    variables, within the degree bound."""
+    terms = {}
+    for _ in range(draw(st.integers(1, max_terms))):
+        exps = dict(b1=draw(st.integers(0, 1)), t=draw(st.integers(0, 2)),
+                    m1=draw(st.integers(0, 2)))
+        room = ctx.deg_bound - exps["b1"]
+        for i in draw(st.permutations(range(1, ctx.n_x + 1))):
+            e = draw(st.sampled_from([e for e in DD_EXPONENTS if e <= room]))
+            exps["x%d" % i] = e
+            room -= e
+        key = ctx.key_from_exps(exps)
+        terms[key] = _normalize_coeff(terms.get(key, 0) + draw(COEFFS))
+    return Series(ctx, {k: c for k, c in terms.items() if c}, ctx.deg_bound)
+
+
+def swapped(f, i, j):
+    images = list(range(1, f.ctx.n_x + 1))
+    images[i - 1], images[j - 1] = j, i
+    return f.act_permutation(images)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_divided_difference_matches_linear_division(data):
+    n = data.draw(st.integers(2, 4))
+    ctx = wide_ctx(n)
+    f = data.draw(dd_series(ctx))
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if i != j:
+                want = (f - swapped(f, i, j)).exact_divide_linear(i, j)
+                assert same_series(f.divided_difference(i, j), want), (i, j)
+
+
+def to_sympy(f, symbols):
+    import sympy
+    ctx = f.ctx
+    out = sympy.Integer(0)
+    for key, c in f.terms.items():
+        term = sympy.Rational(Fraction(c).numerator, Fraction(c).denominator)
+        for name, e in ctx.exps_from_key(key).items():
+            term *= symbols[name] ** e
+        out += term
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_divided_difference_matches_sympy(data):
+    import sympy
+    n = data.draw(st.integers(2, 3))
+    ctx = wide_ctx(n)
+    symbols = {name: sympy.Symbol(name) for name in ctx.gen_names}
+    # a linear factor puts several terms into one image group
+    mix = series_sum(ctx, [Series.gen(ctx, "x%d" % k).scale(k) for k in range(1, n + 1)])
+    f = data.draw(dd_series(ctx, max_terms=3)) * mix
+    F = to_sympy(f, symbols)
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if i != j:
+                xi, xj = symbols["x%d" % i], symbols["x%d" % j]
+                swap = F.subs({xi: xj, xj: xi}, simultaneous=True)
+                want = sympy.cancel((F - swap) / (xi - xj))
+                got = to_sympy(f.divided_difference(i, j), symbols)
+                assert sympy.expand(got - want) == 0, (i, j)
 
 
 @settings(max_examples=100, deadline=None)

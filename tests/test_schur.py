@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from cobschur import (RingContext, Series, FormalGroupLaw, Partition,
-                      Permutation, RemainderError, SymmetrizerSpec,
+                      Permutation, RemainderError, NotInvariant, SymmetrizerSpec,
                       coset_reps, subgroup_elements, symmetrize,
                       factorial_power, double_factorial_power,
                       bracket_monomial, universal_schur_s, universal_schur_p,
@@ -122,17 +122,18 @@ class TestBracketMonomial:
 class TestSymmetrizeEngine:
     def test_two_variable_telescoping(self):
         ctx, fgl = setup("additive", 2)
-        spec = SymmetrizerSpec((1, 2), ((1, 2),), coset_reps(2, (1, 1)))
+        spec = SymmetrizerSpec.quotient((1, 1))
         assert symmetrize(fgl, Series.gen(ctx, "x1"), spec) == \
             Series.const(ctx, 1, bound=ctx.deg_bound - 2)
 
     def test_vandermonde_over_vandermonde(self):
+        # every w in S_3 contributes w.(V / V) = 1
         ctx, fgl = setup("additive", 3)
         v = Series.const(ctx, 1)
         for (i, j) in ((1, 2), (1, 3), (2, 3)):
             v = v * (Series.gen(ctx, "x%d" % i) - Series.gen(ctx, "x%d" % j))
-        spec = SymmetrizerSpec((1, 2, 3), ((1, 2), (1, 3), (2, 3)), [coset_reps(3, (3,))[0]])
-        assert symmetrize(fgl, v, spec) == Series.const(ctx, 1, bound=v.bound - 4)
+        spec = SymmetrizerSpec.full(3, ((1, 2), (1, 3), (2, 3)))
+        assert symmetrize(fgl, v, spec) == Series.const(ctx, 6, bound=v.bound - 4)
 
     def test_empty_partition_series_leading_term(self):
         ctx, fgl = setup("universal", 2, n_b=1, A=3, D=4)
@@ -166,23 +167,24 @@ class TestSymmetrizeEngine:
 def reference_kernel(fgl, spec, w, bound):
     """The kernel of one coset, built literally for that coset.
 
-    sign * prod over pairs not covered by w(pairs) of (x_a - x_b), a < b,
-         * prod over pairs of unit(x_{w(i)}, x_{w(j)})^{-1},
-    where sign counts the pairs that w maps onto a decreasing pair.
+    sign * prod over position pairs a < b not covered by w(pairs) of
+             (y_a - y_b)
+         * prod over pairs of unit(y_{w(i)}, y_{w(j)})^{-1},
+    y_p = x_{var_ids[p]}, where sign counts the pairs that w maps onto a
+    decreasing pair of positions.
     """
     var = spec.var_ids
     sign, covered = 1, set()
     kernel = Series.const(fgl.ctx, 1, bound)
     for (i, j) in spec.pair_set:
-        a, b = var[w(i) - 1], var[w(j) - 1]
-        kernel = kernel * fgl.pair_unit_inverse(a, b).truncate(bound)
+        a, b = w(i), w(j)
+        kernel = kernel * fgl.pair_unit_inverse(var[a - 1], var[b - 1]).truncate(bound)
         if a > b:
             a, b, sign = b, a, -sign
         covered.add((a, b))
-    for (i, j) in spec.all_pairs():
-        a, b = var[i - 1], var[j - 1]
+    for (a, b) in spec.all_pairs():
         if (a, b) not in covered:
-            kernel = kernel * (fgl.x_gen(a) - fgl.x_gen(b))
+            kernel = kernel * (fgl.x_gen(var[a - 1]) - fgl.x_gen(var[b - 1]))
     return kernel if sign == 1 else -kernel
 
 
@@ -226,15 +228,13 @@ def orbit_cases(fgl):
     sym12 = x1 * x2 * (x3 + t) + fgl.formal_sum(x1, x2) * x3
     sym23 = x1 ** 2 * (x2 + x3) + t * x2 * x3
     all3 = ((1, 2), (1, 3), (2, 3))
-    full = SymmetrizerSpec((1, 2, 3), all3, coset_reps(3, (1, 1, 1)))
-    subset = SymmetrizerSpec((2, 3), ((1, 2),), coset_reps(2, (1, 1)))
-    partial = SymmetrizerSpec.quotient(Partition([1, 1, 0], n=3).block_sizes)
-    between = SymmetrizerSpec((1, 2, 3), ((2, 3),), subgroup_elements(3, (1, 2)))
-    grassmannian = SymmetrizerSpec((1, 2, 3), ((1, 2), (1, 3)),
-                                   coset_reps(3, (1, 2)))
-    kl = SymmetrizerSpec((1, 2, 3), ((1, 2), (1, 3), (2, 3)),
-                         coset_reps(3, (1, 1, 1)))
-    pq = SymmetrizerSpec.quotient((1, 2))
+    Q, S, F = SymmetrizerSpec.quotient, SymmetrizerSpec.subgroup, SymmetrizerSpec.full
+    full = F(3, all3)
+    subset = Q((1, 1), var_ids=(2, 3))
+    partial = Q(Partition([1, 1, 0], n=3).block_sizes)
+    between = S((1, 2))
+    grassmannian = Q((1, 2))
+    kl = F(3, Q((1, 2)).pair_set)
     return [
         ("full", full, generic, True),
         ("var_ids subset", subset, generic, True),
@@ -243,16 +243,26 @@ def orbit_cases(fgl):
         ("between", between, generic, True),
         ("grassmannian", grassmannian, sym23, True),
         ("grassmannian, not invariant", grassmannian, x2 + x1 * x3, False),
-        ("kl blocks", kl, factorial_power(fgl, 1, 3) * factorial_power(fgl, 2, 1),
+        ("kl certificate", kl, factorial_power(fgl, 1, 3) * factorial_power(fgl, 2, 1),
          True),
-        ("p/q coset form", pq, x1 ** 2 * fgl.formal_sum(x1, x2)
+        ("p/q coset form", grassmannian, x1 ** 2 * fgl.formal_sum(x1, x2)
          * fgl.formal_sum(x1, x3), True),
     ]
 
 
+def dropped_vandermonde(fgl, spec):
+    """The Vandermonde factors neither kept in the kernel nor divided out."""
+    var = spec.var_ids
+    out = Series.const(fgl.ctx, 1)
+    for (i, j) in spec.all_pairs():
+        if (i, j) not in spec.pair_set and (i, j) not in spec.kept:
+            out = out * (fgl.x_gen(var[i - 1]) - fgl.x_gen(var[j - 1]))
+    return out
+
+
 class TestCosetOrbitEngine:
-    """symmetrize (one kernel, one product, signed orbit sum) against the
-    literal per-coset sum."""
+    """symmetrize (one kernel, one product, divided differences along the
+    spec's word) against the literal per-coset sum."""
 
     @pytest.mark.parametrize("mode_name", sorted(ORBIT_MODES))
     def test_matches_per_coset_reference(self, mode_name):
@@ -267,33 +277,93 @@ class TestCosetOrbitEngine:
             else:
                 with pytest.raises(RemainderError):
                     reference_symmetrize(fgl, numerator, spec)
-                with pytest.raises(RemainderError):
+                with pytest.raises(NotInvariant):
                     symmetrize(fgl, numerator, spec)
 
     @pytest.mark.parametrize("mode_name", sorted(ORBIT_MODES))
     def test_coset_kernel_is_signed_image(self, mode_name):
+        # with the dropped Vandermonde factors put back, the kernel of
+        # coset w is sign(w) w.K
         mode, scalars = ORBIT_MODES[mode_name]
         ctx, fgl = setup(mode, 3, n_b=3, D=3, scalars=scalars)
         bound = ctx.deg_bound
         for name, spec, _, valid in orbit_cases(fgl):
-            kernel = _coset_kernel(fgl, spec, bound)
+            kernel = _coset_kernel(fgl, spec, bound) * dropped_vandermonde(fgl, spec)
             for w in spec.reps:
                 image = kernel.act_permutation(on_all_x(ctx, spec.var_ids, w))
                 assert reference_kernel(fgl, spec, w, bound) == \
                     image.scale(w.sign()), (name, w)
 
-    def test_orbit_sum_of_permuted_series(self):
-        ctx = RingContext(n_x=3, n_b=1, m_order=1, deg_bound=6)
-        f = Series.monomial(ctx, {"x1": 2, "x3": 1, "m1": 1}, 3) \
-            + Series.monomial(ctx, {"x2": 1, "b1": 1}, Fraction(-1, 2)) \
-            + Series.monomial(ctx, {"x1": 1, "x2": 1, "x3": 1})
-        signed = [(w, w.sign()) for w in coset_reps(3, (1, 1, 1))]
-        want = Series.zero(ctx)
-        for w, sign in signed:
-            want = want + f.act_permutation(w).scale(sign)
-        got = f.signed_orbit_sum(signed)
-        assert got.terms == want.terms and got.bound == f.bound
 
+def compositions(n):
+    """Every composition of n into positive parts."""
+    if n == 0:
+        return [()]
+    return [(m,) + rest for m in range(1, n + 1) for rest in compositions(n - m)]
+
+
+def block_invariant(fgl, blocks, var_ids):
+    """A numerator invariant under Young(blocks) acting on var_ids but
+    not under any larger Young subgroup: per block r, a power sum of
+    degree r times (1 + b1 e_top), e_top the block's top elementary
+    symmetric function."""
+    numerator = Series.const(fgl.ctx, 1)
+    start = 0
+    for r, m in enumerate(blocks, start=1):
+        xs = [fgl.x_gen(v) for v in var_ids[start:start + m]]
+        power_sum, top = Series.zero(fgl.ctx), Series.const(fgl.ctx, 1)
+        for x in xs:
+            power_sum = power_sum + x ** r
+            top = top * x
+        numerator = numerator * power_sum * (1 + fgl.b_gen(1) * top)
+        start += m
+    return numerator
+
+
+class TestEveryConstructor:
+    """Every constructor against the literal per-coset sum at n <= 4."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_quotient_and_subgroup(self, n):
+        ctx, fgl = setup("universal", 4, n_b=1, D=1, scalars=("t",))
+        x = [fgl.x_gen(i) for i in range(1, 5)]
+        generic = x[0] ** 2 * x[1] + fgl.b_gen(1) * x[n - 1] + x[0] * x[n - 1] ** 3
+        for var_ids in (tuple(range(1, n + 1)), tuple(range(5 - n, 5))[::-1]):
+            for blocks in compositions(n):
+                case = (var_ids, blocks)
+                spec = SymmetrizerSpec.quotient(blocks, var_ids=var_ids)
+                f = block_invariant(fgl, blocks, var_ids)
+                got = symmetrize(fgl, f, spec)
+                want = reference_symmetrize(fgl, f, spec)
+                assert (got.terms, got.bound) == (want.terms, want.bound), case
+                if var_ids[0] == 1:
+                    spec = SymmetrizerSpec.subgroup(blocks)
+                    got = symmetrize(fgl, generic, spec)
+                    want = reference_symmetrize(fgl, generic, spec)
+                    assert (got.terms, got.bound) == (want.terms, want.bound), case
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_full(self, n):
+        ctx, fgl = setup("multiplicative", n, n_b=1, D=1)
+        x = [fgl.x_gen(i) for i in range(1, n + 1)]
+        f = x[0] ** 3 * x[-1] + fgl.b_gen(1) * x[0] + Series.const(ctx, 2)
+        every = SymmetrizerSpec.quotient((1,) * n).pair_set
+        for pairs in ((), every, every[:1], every[::2],
+                      SymmetrizerSpec.quotient((1, n - 1)).pair_set):
+            spec = SymmetrizerSpec.full(n, pairs)
+            got = symmetrize(fgl, f, spec)
+            want = reference_symmetrize(fgl, f, spec)
+            assert (got.terms, got.bound) == (want.terms, want.bound), pairs
+
+    def test_quotient_needs_an_invariant_numerator(self):
+        ctx, fgl = setup("universal", 4, n_b=1, D=1)
+        f = block_invariant(fgl, (2, 2), (4, 3, 2, 1))
+        assert not symmetrize(fgl, f, SymmetrizerSpec.quotient(
+            (2, 2), var_ids=(4, 3, 2, 1))).is_zero()
+        with pytest.raises(NotInvariant, match="x1, x3"):
+            symmetrize(fgl, f, SymmetrizerSpec.quotient((2, 2), var_ids=(1, 3, 2, 4)))
+        with pytest.raises(NotInvariant):
+            symmetrize(fgl, f, SymmetrizerSpec.quotient((1, 3), var_ids=(4, 3, 2, 1)))
 
 
 def pq_numerator(fgl, nu, n, use_b, doubled):
@@ -326,8 +396,7 @@ class TestPQCosetForm:
                     continue
                 k = len(nu)
                 pairs = [(i, j) for i in range(1, k + 1) for j in range(i + 1, n + 1)]
-                full = SymmetrizerSpec(range(1, n + 1), pairs,
-                                       coset_reps(n, (1,) * n))
+                full = SymmetrizerSpec.full(n, pairs)
                 for use_b in (False, True):
                     for doubled, family in ((False, universal_schur_p),
                                             (True, universal_schur_q)):
@@ -379,6 +448,31 @@ class TestSpecConstructors:
             assert spec.pair_set == tuple(sorted(pairs)), name
             assert [w.images for w in spec.reps] == \
                 [w.images for w in reps], name
+
+    @staticmethod
+    def word_product(n, word):
+        """The permutation s_(p_l) ... s_(p_1) of a word listed in the
+        order its divided differences apply, in one-line notation."""
+        images = list(range(1, n + 1))
+        for p in reversed(word):
+            images[p - 1], images[p] = images[p], images[p - 1]
+        return tuple(images)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_words_factor_the_longest_element(self, n):
+        # d_(w0) = d_(w^J) d_(w0_J) with lengths adding, w^J the longest
+        # minimal coset representative
+        longest = tuple(range(n, 0, -1))
+        assert SymmetrizerSpec.full(n, ()).word == \
+            SymmetrizerSpec.quotient((1,) * n).word
+        for blocks in compositions(n):
+            Q, S = SymmetrizerSpec.quotient(blocks), SymmetrizerSpec.subgroup(blocks)
+            word = S.word + Q.word
+            assert len(word) == n * (n - 1) // 2, blocks
+            assert self.word_product(n, word) == longest, blocks
+            assert len(Q.word) == len(Q.pair_set), blocks
+            assert len(S.word) == len(S.pair_set), blocks
+            assert self.word_product(n, Q.word) in [w.images for w in Q.reps], blocks
 
     def test_quotient_on_a_variable_subset(self):
         spec = SymmetrizerSpec.quotient((1, 1), var_ids=(2, 3))

@@ -12,17 +12,22 @@ back, base first on even pairs and head first on odd ones, so drift in
 the machine's speed falls on both sides alike.  One ``--trace 1`` run per
 side and workload, on seed ``TRACE_SEED``, adds the per-layer rows.
 
+After the workloads, ``tests/test_acceptance.py`` runs once per side, and
+each criterion's seconds are read off its ``ACCEPTANCE`` lines.
+
 The output file holds, per workload and end-to-end metric, the medians and
 quartiles of each side, the head's wins over the base pair by pair, and
 the gap between medians in units of the base's interquartile range; the
-failed and attempted operation counts; the trace rows; the ``src/`` line
-counts, the SHAs and the machine.  Only the standard library is used.
+failed and attempted operation counts; the trace rows; the criterion
+seconds; the ``src/`` line counts, the SHAs and the machine.  Only the
+standard library is used.
 """
 
 import argparse
 import json
 import os
 import platform
+import re
 import shutil
 import statistics
 import subprocess
@@ -31,6 +36,8 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TRACE_SEED = 3
+# "ACCEPTANCE  6 [pass] gysin-functoriality: 30/30 checks, 7.0s (budget 300s)"
+ACCEPTANCE = re.compile(r"ACCEPTANCE +(\d+) \[\w+\] ([\w-]+): .*, ([\d.]+)s \(budget")
 
 
 def git(*args):
@@ -69,6 +76,21 @@ def run(tree, workload, seed, seconds, trace):
         result = {"correct": False, "attempted": 0, "failed": 1, "metrics": {}}
     result["exit_code"] = proc.returncode
     return result
+
+
+def acceptance(tree):
+    """Run the acceptance gate once; per criterion, the seconds of each run."""
+    env = dict(os.environ, PYTHONPATH="src")
+    cmd = [sys.executable, "-m", "pytest", "-q", "-s", "-p", "no:cacheprovider",
+           "tests/test_acceptance.py"]
+    proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
+    seconds = {}
+    for line in proc.stdout.splitlines():
+        m = ACCEPTANCE.search(line)
+        if m:
+            key = "%02d %s" % (int(m.group(1)), m.group(2))
+            seconds.setdefault(key, []).append(float(m.group(3)))
+    return {"exit_code": proc.returncode, "seconds": seconds}
 
 
 def quartiles(values):
@@ -180,6 +202,7 @@ def main(argv=None):
                           "head": {k: v["value"] for k, v in p["head"]["metrics"].items()}}
                          for p in pairs],
             }
+        report["acceptance"] = {side: acceptance(trees[side]) for side in trees}
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
     with open(args.out, "w") as f:
