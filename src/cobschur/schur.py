@@ -190,7 +190,7 @@ class SymmetrizerSpec:
         n = sum(blocks)
         var_ids = range(1, n + 1) if var_ids is None else var_ids
         ends = set(itertools.accumulate(blocks))
-        w_J = tuple(n + 1 - v for v in _longest_in_blocks(blocks))
+        w_J = [n + 1 - v for v in _longest_in_blocks(blocks)]
         return cls(var_ids, pairs, coset_reps(n, blocks), _reduced_word(w_J),
                    invariant=[p for p in range(1, n) if p not in ends])
 
@@ -205,7 +205,7 @@ class SymmetrizerSpec:
     @classmethod
     def full(cls, n, pairs):
         """Every element of S_n with the given pairs."""
-        kept = [p for p in _all_pairs(n) if p not in set(pairs)]
+        kept = sorted(set(_all_pairs(n)) - set(pairs))
         return cls(range(1, n + 1), pairs, coset_reps(n, (1,) * n),
                    _reduced_word(range(n, 0, -1)), kept=kept)
 
