@@ -6,13 +6,14 @@ at t = -1 (strict shapes) to the P-family.
 """
 
 from cobschur import (RingContext, FormalGroupLaw, universal_hall_littlewood,
-                      universal_schur_p, new_universal_schur, oracles)
+                      universal_schur_p, new_universal_schur,
+                      symmetrizer_deg_bound, oracles)
 
 print(__doc__)
 
 n, lam = 3, [2, 1]
-margin = n * (n - 1) // 2 + 1
-ctx = RingContext(n_x=n, m_order=2, deg_bound=4 + margin, scalars=("t",))
+bound = symmetrizer_deg_bound(4, n)
+ctx = RingContext(n_x=n, m_order=2, deg_bound=bound, scalars=("t",))
 fgl = FormalGroupLaw(ctx, "universal")
 
 H = universal_hall_littlewood(fgl, lam, n)
@@ -30,7 +31,7 @@ print("t = -1 -> P-family (strict shape):",
 print()
 
 # additively the same object is the classical Hall-Littlewood polynomial
-actx = RingContext(n_x=n, m_order=0, deg_bound=4 + margin, scalars=("t",))
+actx = RingContext(n_x=n, m_order=0, deg_bound=bound, scalars=("t",))
 afgl = FormalGroupLaw(actx, "additive")
 Ha = universal_hall_littlewood(afgl, lam, n)
 classical = oracles.classical_hall_littlewood(actx, lam, n)

@@ -10,13 +10,12 @@ from cobschur import (RingContext, Series, FormalGroupLaw, Partition,
                       pushforward_full_flag, pushforward_partial_flag,
                       pushforward_between_flags, grassmannian_pushforward,
                       bracket_monomial, universal_schur_s, new_universal_schur,
-                      series_match)
+                      symmetrizer_deg_bound, series_match)
 
 print(__doc__)
 
 n = 3
-margin = n * (n - 1) // 2 + 1
-ctx = RingContext(n_x=n, m_order=2, deg_bound=3 + margin)
+ctx = RingContext(n_x=n, m_order=2, deg_bound=symmetrizer_deg_bound(3, n))
 fgl = FormalGroupLaw(ctx, "universal")
 
 f = Series.monomial(ctx, {"x1": 3, "x2": 1})  # staircase + (1, 0, 0)
@@ -29,8 +28,10 @@ print("stabilizer-quotient pushforward of the block monomial is Damon-type:",
       pushforward_partial_flag(fgl, block, lam, n)
       == new_universal_schur(fgl, lam, n))
 
-# factorization through the intermediate flag
-ctx2 = RingContext(n_x=n, m_order=2, deg_bound=2 + 2 * (n * (n - 1) // 2) + 2)
+# factorization through the intermediate flag: the partial pushforward
+# runs on the output of between-flags, so the margin is applied twice
+ctx2 = RingContext(n_x=n, m_order=2,
+                   deg_bound=symmetrizer_deg_bound(symmetrizer_deg_bound(2, n), n))
 fgl2 = FormalGroupLaw(ctx2, "universal")
 g = Series.monomial(ctx2, {"x1": 2, "x2": 2, "x3": 1})
 lhs = pushforward_full_flag(fgl2, g, n)

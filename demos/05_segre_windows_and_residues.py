@@ -8,7 +8,8 @@ demo prints and cross-checks against the direct symmetrizer.
 
 from cobschur import (RingContext, Series, FormalGroupLaw, segre_series,
                       projective_residue, required_weight_cap,
-                      new_universal_schur_one_row, series_match)
+                      new_universal_schur_one_row, symmetrizer_deg_bound,
+                      series_match)
 
 print(__doc__)
 
@@ -30,8 +31,7 @@ for k in (0, 2):
           % (k + n - 1, k), res == window.coeff(k))
 
 # and both agree with the one-row coset symmetrizer where it is defined
-margin = n * (n - 1) // 2 + 1
-sctx = RingContext(n_x=n, m_order=2, deg_bound=D + margin)
+sctx = RingContext(n_x=n, m_order=2, deg_bound=symmetrizer_deg_bound(D, n))
 sf = FormalGroupLaw(sctx, "universal")
 for k in (1 - n, 1):
     direct = new_universal_schur_one_row(sf, k, n)

@@ -14,7 +14,8 @@ from .ring import (RingContext, Series, Permutation, RingError,
                    TruncationError, BudgetError, series_sum)
 from .fgl import FormalGroupLaw
 from .schur import (Partition, SymmetrizerSpec, NotInvariant, coset_reps,
-                    subgroup_elements, symmetrize, factorial_power,
+                    subgroup_elements, symmetrize, symmetrizer_deg_bound,
+                    factorial_power,
                     double_factorial_power, bracket_monomial, rho,
                     partitions_up_to, universal_schur_s, universal_schur_p,
                     universal_schur_q, universal_hall_littlewood,

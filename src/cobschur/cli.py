@@ -17,7 +17,8 @@ from .ring import (RingContext, Series, RemainderError, BudgetError,
 from .fgl import FormalGroupLaw
 from .schur import (Partition, universal_schur_s, universal_schur_p,
                     universal_schur_q, universal_hall_littlewood,
-                    new_universal_schur, universal_schur_kl)
+                    new_universal_schur, universal_schur_kl,
+                    symmetrizer_deg_bound)
 from .gysin import (segre_series, required_weight_cap, MAX_WINDOW_CAP,
                     pushforward_full_flag, pushforward_partial_flag,
                     pushforward_between_flags, grassmannian_pushforward,
@@ -84,25 +85,21 @@ def _load_assignment(path, ctx):
     return out
 
 
-def _build_setup(args, n, lam, with_t=False):
+def _build_setup(args, n, with_t=False):
     mode = args.mode
     A = args.A if mode == "universal" else 0
-    margin = n * (n - 1) // 2 + 1
-    n_b = args.nb
-    if n_b is None:
-        n_b = 0
     scalars = []
     if with_t:
         scalars.append("t")
     if mode == "multiplicative":
         scalars.append("beta")
+    # every family is homogeneous of degree |lambda| >= 0; --b brings higher
+    # (x,b)-degrees into the output and keeps the default weight cap
+    cap = None if args.b else required_weight_cap(n, args.deg, 0)
     try:
-        # every family is homogeneous of degree |lambda| >= 0, so weight is
-        # <= --deg at (x,b)-degree <= --deg (gysin.required_weight_cap); --b
-        # brings higher (x,b)-degrees into the output and keeps the default
-        ctx = RingContext(n_x=n, n_b=n_b, m_order=A,
-                          deg_bound=args.deg + margin, scalars=tuple(scalars),
-                          m_weight_cap=None if args.b else args.deg)
+        ctx = RingContext(n_x=n, n_b=args.nb or 0, m_order=A,
+                          deg_bound=symmetrizer_deg_bound(args.deg, n),
+                          scalars=tuple(scalars), m_weight_cap=cap)
     except ValueError as exc:
         raise CliError(str(exc))
     custom = None
@@ -149,7 +146,7 @@ def cmd_compute(args):
         raise CliError("--lambda longer than --n")
     use_b = (args.nb or 0) > 0
     with_t = args.family == "hl"
-    ctx, fgl = _build_setup(args, n, lam, with_t=with_t)
+    ctx, fgl = _build_setup(args, n, with_t=with_t)
     try:
         if args.family in ("schur-s", "schur-seq"):
             val = universal_schur_s(fgl, lam, n, use_b=use_b)
@@ -183,9 +180,7 @@ def cmd_verify(args):
         _check_n(args.n)
         if args.suite in ("hl-collapse", "additive-square",
                           "multiplicative-square", "gysin-functoriality",
-                          "kempf-laksov"):
-            caps["max_n"] = args.n
-        elif args.suite == "residue-segre":
+                          "kempf-laksov", "residue-segre"):
             caps["max_n"] = args.n
         elif args.suite == "feldman":
             caps["ns"] = tuple(range(3, args.n + 1)) or (3,)

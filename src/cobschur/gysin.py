@@ -259,24 +259,24 @@ def segre_series(fgl, n, k_min, k_max):
     return LaurentWindow(ctx, "u", k_min, k_max, coeffs)
 
 
-def _poly_layers(fgl, f, aux, check_x_free=True):
-    """Split a Series into {exponent tuple over aux vars: x-free Series}."""
+def _aux_layers(fgl, f, aux):
+    """{exponent tuple over the ``aux`` variables: x-free coefficient}.
+
+    ``f`` is a Series in the aux variables or a dict already keyed by
+    exponent tuples; either way every coefficient must be x-free.
+    """
     ctx = fgl.ctx
-    layers = {}
-    for key, c in f.terms.items():
-        es = []
-        base = key
-        for nm in aux:
-            e = ctx.key_exp(key, nm)
-            es.append(e)
-            base -= e * ctx.gen_unit(nm)
-        if check_x_free:
-            for i in range(1, ctx.n_x + 1):
-                if ctx.key_exp(key, "x%d" % i):
-                    raise ValueError("input coefficients must be x-free")
-        layer = layers.setdefault(tuple(es), {})
-        layer[base] = layer.get(base, 0) + c
-    return {es: Series(ctx, terms, f.bound) for es, terms in layers.items()}
+    if isinstance(f, Series):
+        layers = {}
+        for key, c in f.terms.items():
+            es = tuple(ctx.key_exp(key, nm) for nm in aux)
+            base = key - sum(e * ctx.gen_unit(nm) for e, nm in zip(es, aux))
+            layers.setdefault(es, {})[base] = c
+        f = {es: Series(ctx, terms, f.bound) for es, terms in layers.items()}
+    if any(ctx.key_exp(key, "x%d" % i) for c in f.values() for key in c.terms
+           for i in range(1, ctx.n_x + 1)):
+        raise ValueError("input coefficients must be x-free")
+    return dict(f)
 
 
 def projective_residue(fgl, f, n, var="s"):
@@ -288,20 +288,13 @@ def projective_residue(fgl, f, n, var="s"):
     infinity (every x_i / t small): the answer is the u^1 coefficient of
     f(1/u) * window.
     """
-    ctx = fgl.ctx
     _check_window_law(fgl)
-    if isinstance(f, Series):
-        layers = {es[0]: c for es, c in _poly_layers(fgl, f, (var,)).items()}
-    else:
-        layers = dict(f)
-        for c in layers.values():
-            for key in c.terms:
-                for i in range(1, ctx.n_x + 1):
-                    if ctx.key_exp(key, "x%d" % i):
-                        raise ValueError("input coefficients must be x-free")
-    fw = {(-e,): c for e, c in layers.items() if not c.is_zero()}
+    if not isinstance(f, Series):
+        f = {(e,): c for e, c in f.items()}
+    fw = {(-e,): c for (e,), c in _aux_layers(fgl, f, (var,)).items()
+          if not c.is_zero()}
     out = _mwmul(fw, _denominator_inverse_window(fgl, n), (1,), (1,))
-    return out.get((1,), Series.zero(ctx))
+    return out.get((1,), Series.zero(fgl.ctx))
 
 
 # ---------------------------------------------------------------------------
@@ -351,13 +344,9 @@ def darondeau_pragacz_pushforward(fgl, f, r, n, var_prefix="s"):
         raise ValueError("r exceeds n")
     aux = ["%s%d" % (var_prefix, i) for i in range(1, r + 1)]
     # decompose f into a multivariate window with keys (-e_1, ..., -e_r)
-    if isinstance(f, Series):
-        layers = _poly_layers(fgl, f, aux)
-    else:
-        layers = dict(f)
     fw = {}
     fdeg = [0] * r
-    for es, c in layers.items():
+    for es, c in _aux_layers(fgl, f, aux).items():
         if c.is_zero():
             continue
         for i in range(r):
@@ -371,8 +360,8 @@ def darondeau_pragacz_pushforward(fgl, f, r, n, var_prefix="s"):
     for i in range(1, r + 1):
         for j in range(i + 1, r + 1):
             acc = _mwmul(acc, _tsum_window(fgl, i, j, r), los, his)
+    seg = segre_series(fgl, n, target - D - 2, D)
     for i in range(1, r + 1):
-        seg = segre_series(fgl, n, target - D - 2, min(D, his[i - 1]))
         w = {}
         for k, c in seg.coeffs.items():
             key = [0] * r

@@ -80,8 +80,8 @@ class RingContext:
     ----------
     n_x, n_b : counts of the degree-1 variable families x_i and b_i.
     m_order : highest retained logarithm-coefficient index A (m_1..m_A).
-    deg_bound : maximum retained total (x,b)-degree D (plus any working
-        margin the caller has folded in).
+    deg_bound : maximum retained total (x,b)-degree; a symmetrizer needs
+        schur.symmetrizer_deg_bound(D, n) for a value trusted to D.
     scalars : subset of ("t", "beta") to declare.
     aux : extra named degree-1 generators (scratch variables).
     m_weight_cap : maximum retained negative weight (defaults to

@@ -23,12 +23,13 @@ Each divided difference is exact and lowers the trusted degree by one.
 With B the least of the numerator's bound, the context's degree bound and
 the pair units' bounds, the product is formed to B minus the degree of
 the Vandermonde factors neither kept in K nor divided out, so the value is
-trusted to B - |all pairs|; callers size their context bound accordingly
-(deg_bound = target D + pairs + 1).
+trusted to B - |all pairs|.  symmetrizer_deg_bound turns that rule into
+the context degree bound a caller needs for a target degree.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from .ring import Series, Permutation, BudgetError
@@ -112,43 +113,33 @@ def partitions_up_to(max_size, max_length):
 
 
 def coset_reps(n, blocks):
-    """Minimal-length representatives of S_n / (S_{m_1} x ... x S_{m_d}).
-
-    Representatives are increasing on each block preimage and enumerated
-    in lexicographic order of their image tuples.
-    """
+    """Minimal-length representatives of S_n / (S_{m_1} x ... x S_{m_d}):
+    the permutations increasing on each block, in lexicographic order."""
     if sum(blocks) != n:
         raise ValueError("block sizes must sum to n")
-    reps = []
-    def rec(remaining, blocks_left, acc):
-        if not blocks_left:
-            reps.append(Permutation(acc))
-            return
-        m = blocks_left[0]
-        for chosen in itertools.combinations(sorted(remaining), m):
-            rec(remaining - set(chosen), blocks_left[1:], acc + list(chosen))
-    rec(set(range(1, n + 1)), list(blocks), [])
-    reps.sort(key=lambda w: w.images)
-    return reps
+    return _rising(subgroup_elements(n, (n,)), _inner_positions(blocks))
 
 
 def subgroup_elements(n, blocks):
-    """All elements of S_{m_1} x ... x S_{m_d} embedded block-diagonally."""
+    """All elements of S_{m_1} x ... x S_{m_d} embedded block-diagonally,
+    in lexicographic order."""
     if sum(blocks) != n:
         raise ValueError("block sizes must sum to n")
-    per_block = []
-    start = 1
-    for m in blocks:
-        vals = list(range(start, start + m))
-        per_block.append([p for p in itertools.permutations(vals)])
-        start += m
-    out = []
-    for combo in itertools.product(*per_block):
-        images = []
-        for piece in combo:
-            images.extend(piece)
-        out.append(Permutation(images))
-    return out
+    per_block = [itertools.permutations(range(end - m + 1, end + 1))
+                 for m, end in zip(blocks, itertools.accumulate(blocks))]
+    return [Permutation([v for piece in combo for v in piece])
+            for combo in itertools.product(*per_block)]
+
+
+def _inner_positions(blocks):
+    """The positions p with p and p + 1 in the same block."""
+    ends = set(itertools.accumulate(blocks))
+    return [p for p in range(1, sum(blocks)) if p not in ends]
+
+
+def _rising(perms, positions):
+    """The permutations w with w(p) < w(p + 1) at every given position."""
+    return [w for w in perms if all(w(p) < w(p + 1) for p in positions)]
 
 
 class NotInvariant(ValueError):
@@ -168,7 +159,7 @@ class SymmetrizerSpec:
     and ``subgroup`` of a block composition, and ``full``.
     """
 
-    def __init__(self, var_ids, pair_set, reps, word, kept=(), invariant=()):
+    def __init__(self, var_ids, pair_set, word, kept=(), invariant=()):
         self.var_ids = tuple(var_ids)
         self.pair_set = tuple(sorted(pair_set))
         if len(set(self.pair_set)) != len(self.pair_set):
@@ -177,7 +168,6 @@ class SymmetrizerSpec:
         for (i, j) in self.pair_set:
             if not (1 <= i < j <= n):
                 raise ValueError("pair (%d, %d) out of range" % (i, j))
-        self.reps = list(reps)
         self.word = tuple(word)
         self.kept = tuple(kept)
         self.invariant = tuple(invariant)
@@ -189,25 +179,35 @@ class SymmetrizerSpec:
         blocks, pairs = _block_pairs(blocks, across=True)
         n = sum(blocks)
         var_ids = range(1, n + 1) if var_ids is None else var_ids
-        ends = set(itertools.accumulate(blocks))
         w_J = [n + 1 - v for v in _longest_in_blocks(blocks)]
-        return cls(var_ids, pairs, coset_reps(n, blocks), _reduced_word(w_J),
-                   invariant=[p for p in range(1, n) if p not in ends])
+        return cls(var_ids, pairs, _reduced_word(w_J),
+                   invariant=_inner_positions(blocks))
 
     @classmethod
     def subgroup(cls, blocks):
         """Every element of Young(blocks), pairs inside each block."""
         blocks, pairs = _block_pairs(blocks, across=False)
         n = sum(blocks)
-        return cls(range(1, n + 1), pairs, subgroup_elements(n, blocks),
+        return cls(range(1, n + 1), pairs,
                    _reduced_word(_longest_in_blocks(blocks)))
 
     @classmethod
     def full(cls, n, pairs):
         """Every element of S_n with the given pairs."""
         kept = sorted(set(_all_pairs(n)) - set(pairs))
-        return cls(range(1, n + 1), pairs, coset_reps(n, (1,) * n),
-                   _reduced_word(range(n, 0, -1)), kept=kept)
+        return cls(range(1, n + 1), pairs, _reduced_word(range(n, 0, -1)),
+                   kept=kept)
+
+    @functools.cached_property
+    def reps(self):
+        """The permutations summed over, in lexicographic order: the
+        elements of the Young subgroup that the word and ``invariant``
+        generate that rise across every ``invariant`` swap (one per coset).
+        symmetrize never reads them; checks and tracing do."""
+        n, letters = len(self.var_ids), set(self.word) | set(self.invariant)
+        ends = [p for p in range(1, n + 1) if p not in letters]
+        blocks = [b - a for a, b in zip([0] + ends, ends)]
+        return _rising(subgroup_elements(n, blocks), self.invariant)
 
     def all_pairs(self):
         return _all_pairs(len(self.var_ids))
@@ -262,10 +262,21 @@ def _coset_kernel(fgl, spec, bound):
     return kernel
 
 
+def symmetrizer_deg_bound(D, n):
+    """The context deg_bound at which a symmetrizer on n variables returns
+    a value trusted to x-degree >= D: each of the n(n-1)/2 pairs costs one
+    degree and the pair units, trusted to deg_bound - 1, one more (see the
+    module docstring).  Apply it twice for a value that passes through two
+    symmetrizers."""
+    return D + n * (n - 1) // 2 + 1
+
+
 def symmetrize(fgl, numerator, spec):
     """d_w(numerator * K) for the spec's word w and kernel K, trusted to
-    B - |all pairs| (see the module docstring); raises NotInvariant for a
-    quotient numerator that the Young subgroup does not fix."""
+    B - |all pairs| (see the module docstring), so a context of
+    symmetrizer_deg_bound(D, n) returns a value trusted to D; raises
+    NotInvariant for a quotient numerator that the Young subgroup does not
+    fix."""
     ctx = fgl.ctx
     var = spec.var_ids
     for p in spec.invariant:
@@ -292,6 +303,13 @@ def symmetrize(fgl, numerator, spec):
 
 # ---------------------------------------------------------------------------
 # factorial-power building blocks
+
+
+def _check_b_budget(fgl, budget):
+    """Raise BudgetError unless the context declares b_1, ..., b_budget."""
+    if fgl.ctx.n_b < budget:
+        raise BudgetError("needs n_b >= %d for this family (have %d)"
+                          % (budget, fgl.ctx.n_b))
 
 
 def b_generators(fgl, count, shift=0, b_values=None):
@@ -375,12 +393,9 @@ def universal_schur_s(fgl, lam, n, use_b=False, var_ids=None, b_shift=0,
     if len(entries) > n:
         raise ValueError("sequence longer than n")
     entries = entries + [0] * (n - len(entries))
-    if use_b or b_values is not None:
-        budget = max((entries[i] + n - 1 - i) for i in range(n)) if n else 0
-        if b_values is None and fgl.ctx.n_b < b_shift + budget:
-            raise BudgetError(
-                "needs n_b >= %d for this family (have %d)"
-                % (b_shift + budget, fgl.ctx.n_b))
+    if use_b and b_values is None and n:
+        _check_b_budget(fgl, b_shift + max(e + n - 1 - i
+                                           for i, e in enumerate(entries)))
     numerator = Series.const(fgl.ctx, 1)
     for pos in range(1, n + 1):
         k = entries[pos - 1] + n - pos
@@ -399,9 +414,7 @@ def _pq_series(fgl, nu, n, use_b, doubled):
         raise ValueError("P/Q needs a strict partition, got %r" % (nu,))
     k = nu.length
     if use_b:
-        budget = nu.parts[0] - (1 if doubled else 0)
-        if fgl.ctx.n_b < budget:
-            raise BudgetError("needs n_b >= %d (have %d)" % (budget, fgl.ctx.n_b))
+        _check_b_budget(fgl, nu.parts[0] - (1 if doubled else 0))
     numerator = Series.const(fgl.ctx, 1)
     for i in range(1, k + 1):
         p = nu.parts[i - 1]
@@ -450,10 +463,9 @@ def universal_hall_littlewood(fgl, lam, n):
 def new_universal_schur(fgl, lam, n, use_b=False, b_values=None):
     """Damon-type symmetrizer of the block monomial (x|b)^[lambda]."""
     lam = lam if isinstance(lam, Partition) else Partition(lam, n=n)
-    if use_b and b_values is None:
-        budget = (lam.parts[0] + n - 1) if n else 0
-        if fgl.ctx.n_b < budget:
-            raise BudgetError("needs n_b >= %d (have %d)" % (budget, fgl.ctx.n_b))
+    if use_b and b_values is None and n:
+        # bracket_monomial reads b up to the first block's exponent
+        _check_b_budget(fgl, lam.parts[0] + n - lam.block_sizes[0])
     vals = b_values if (use_b or b_values is not None) else []
     numerator = bracket_monomial(fgl, lam, vals)
     return symmetrize(fgl, numerator, SymmetrizerSpec.quotient(lam.block_sizes))
@@ -473,10 +485,8 @@ def universal_schur_kl(fgl, lam, n, use_b=False, b_values=None):
     r = lam.length
     if r > n:
         raise ValueError("length of lambda exceeds n")
-    if use_b and b_values is None:
-        budget = (lam.parts[0] + n - 1) if r else 0
-        if fgl.ctx.n_b < budget:
-            raise BudgetError("needs n_b >= %d (have %d)" % (budget, fgl.ctx.n_b))
+    if use_b and b_values is None and r:
+        _check_b_budget(fgl, lam.parts[0] + n - 1)
     vals = b_values if (use_b or b_values is not None) else []
     numerator = Series.const(fgl.ctx, 1)
     for i in range(1, r + 1):

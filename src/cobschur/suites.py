@@ -19,7 +19,8 @@ from .schur import (Partition, partitions_up_to, factorial_power,
                     bracket_monomial, universal_schur_s, universal_schur_p,
                     universal_schur_q, universal_hall_littlewood,
                     new_universal_schur, new_universal_schur_one_row,
-                    universal_schur_kl, SymmetrizerSpec, symmetrize)
+                    universal_schur_kl, SymmetrizerSpec, symmetrize,
+                    symmetrizer_deg_bound)
 from .gysin import (pushforward_full_flag, pushforward_partial_flag,
                     pushforward_between_flags, grassmannian_pushforward,
                     projective_residue, segre_series, thom_porteous_class,
@@ -114,9 +115,9 @@ class _Runner:
         return VerificationReport(self.suite, self.checks, time.time() - self.t0)
 
 
-def _universal(n_x, n_b, A, D, margin, scalars=(), wcap=None, aux=()):
-    ctx = RingContext(n_x=n_x, n_b=n_b, m_order=A, deg_bound=D + margin,
-                      scalars=scalars, aux=aux, m_weight_cap=wcap)
+def _universal(n_x, n_b, A, deg_bound, scalars=()):
+    ctx = RingContext(n_x=n_x, n_b=n_b, m_order=A, deg_bound=deg_bound,
+                      scalars=scalars)
     return ctx, FormalGroupLaw(ctx, "universal")
 
 
@@ -229,9 +230,7 @@ def _random_series(ctx, rng, zero_const=True, max_terms=4):
 
 def suite_empty_partition(A=3, D=4):
     r = _Runner("empty-partition")
-    n = 2
-    margin = n * (n - 1) // 2 + 1
-    ctx, fgl = _universal(2, 1, A, D, margin)
+    ctx, fgl = _universal(2, 1, A, symmetrizer_deg_bound(D, 2))
     s = universal_schur_s(fgl, [], 2, use_b=True)
 
     def coeff_of(exps):
@@ -270,8 +269,7 @@ def suite_empty_partition(A=3, D=4):
 def suite_hl_collapse(max_weight=4, max_n=4, A=2, D=5):
     r = _Runner("hl-collapse")
     for n in range(1, max_n + 1):
-        margin = n * (n - 1) // 2 + 1
-        ctx, fgl = _universal(n, 0, A, D, margin, scalars=("t",))
+        ctx, fgl = _universal(n, 0, A, symmetrizer_deg_bound(D, n), scalars=("t",))
         for lam in partitions_up_to(max_weight, n):
             lamp = Partition(lam, n=n)
             H = universal_hall_littlewood(fgl, lamp, n)
@@ -305,13 +303,12 @@ def suite_hl_collapse(max_weight=4, max_n=4, A=2, D=5):
 def suite_additive_square(max_weight=4, max_n=4):
     r = _Runner("additive-square")
     for n in range(1, max_n + 1):
-        margin = n * (n - 1) // 2 + 1
         for lam in partitions_up_to(max_weight, n):
             lamp = Partition(lam, n=n)
             D = max(lamp.size, 1)
             n_b = (lamp.parts[0] if lamp.length else 0) + n - 1
             ctx = RingContext(n_x=n, n_b=max(n_b, 0), m_order=0,
-                              deg_bound=D + margin, scalars=("t",))
+                              deg_bound=symmetrizer_deg_bound(D, n), scalars=("t",))
             fgl = FormalGroupLaw(ctx, "additive")
             tag = "lam=%r n=%d" % (lam, n)
 
@@ -360,13 +357,12 @@ def suite_additive_square(max_weight=4, max_n=4):
 def suite_multiplicative_square(max_weight=3, max_n=3):
     r = _Runner("multiplicative-square")
     for n in range(1, max_n + 1):
-        margin = n * (n - 1) // 2 + 1
         for lam in partitions_up_to(max_weight, n):
             lamp = Partition(lam, n=n)
             D = lamp.size + 2
             n_b = (lamp.parts[0] if lamp.length else 0) + n - 1
             ctx = RingContext(n_x=n, n_b=max(n_b, 0), m_order=0,
-                              deg_bound=D + margin, scalars=("beta",))
+                              deg_bound=symmetrizer_deg_bound(D, n), scalars=("beta",))
             fgl = FormalGroupLaw(ctx, "multiplicative")
             tag = "lam=%r n=%d" % (lam, n)
             G = oracles.factorial_grothendieck(ctx, lam, n)
@@ -391,8 +387,9 @@ def suite_gysin_functoriality(max_weight=3, max_n=4, trials=20, A=2, D=3, seed=2
     r = _Runner("gysin-functoriality")
     rng = random.Random(seed)
     for n in range(2, max_n + 1):
-        P = n * (n - 1) // 2
-        ctx, fgl = _universal(n, 0, A, D, 2 * P + 2)
+        # the partial pushforward runs on the output of between-flags
+        ctx, fgl = _universal(
+            n, 0, A, symmetrizer_deg_bound(symmetrizer_deg_bound(D, n), n))
         for lam in partitions_up_to(max_weight, n):
             lamp = Partition(lam, n=n)
             if len(lamp.block_sizes) == 1:
@@ -416,7 +413,6 @@ def suite_gysin_functoriality(max_weight=3, max_n=4, trials=20, A=2, D=3, seed=2
 
     # closed form with shifted parameters for two-block shapes
     for n in range(2, max_n + 1):
-        P = n * (n - 1) // 2
         for (a, b2) in ((1, 0), (2, 0), (2, 1)):
             for q in range(1, n):
                 lamp = Partition([a] * q + [b2] * (n - q), n=n)
@@ -424,7 +420,8 @@ def suite_gysin_functoriality(max_weight=3, max_n=4, trials=20, A=2, D=3, seed=2
                           + lamp.block_sizes[r_] - 1
                           for r_ in range(len(lamp.block_sizes)))
                 n_b = max(n_b, a + n - 1)
-                ctx2 = RingContext(n_x=n, n_b=n_b, m_order=A, deg_bound=D + P + 1)
+                ctx2 = RingContext(n_x=n, n_b=n_b, m_order=A,
+                                   deg_bound=symmetrizer_deg_bound(D, n))
                 fg2 = FormalGroupLaw(ctx2, "universal")
 
                 def closed(lamp=lamp, ctx2=ctx2, fg2=fg2, n=n):
@@ -453,12 +450,13 @@ def suite_gysin_functoriality(max_weight=3, max_n=4, trials=20, A=2, D=3, seed=2
 def suite_feldman(ns=(3, 4), qs=(1, 2), max_entry=2, A=2, D=4):
     r = _Runner("feldman")
     for n in ns:
-        Pout = n * (n - 1) // 2
         for q in qs:
             if q >= n:
                 continue
-            Pin = max(q * (q - 1) // 2, (n - q) * (n - q - 1) // 2)
-            ctx, fgl = _universal(n, 0, A, D, Pout + Pin + 2)
+            # the Grassmannian pushforward runs on products of S-values on
+            # the q and n - q variable blocks
+            ctx, fgl = _universal(n, 0, A, symmetrizer_deg_bound(
+                symmetrizer_deg_bound(D, max(q, n - q)), n))
             first = tuple(range(1, q + 1))
             second = tuple(range(q + 1, n + 1))
             cache_I = {}
@@ -498,9 +496,9 @@ def suite_residue_segre(max_n=3, k_hi=4, A=2, D=4):
         cap = required_weight_cap(n, D, k_lo)
         wctx = RingContext(n_x=n, m_order=A, deg_bound=D, m_weight_cap=cap)
         wf = FormalGroupLaw(wctx, "universal")
-        P = n * (n - 1) // 2
-        sctx = RingContext(n_x=n, m_order=A, deg_bound=D + P + 1,
-                           m_weight_cap=min(D + P + 3 + n, 63))
+        sbound = symmetrizer_deg_bound(D, n)
+        sctx = RingContext(n_x=n, m_order=A, deg_bound=sbound,
+                           m_weight_cap=min(sbound + 2 + n, 63))
         sf = FormalGroupLaw(sctx, "universal")
         seg = segre_series(wf, n, k_lo, k_hi)
 
@@ -522,7 +520,7 @@ def suite_residue_segre(max_n=3, k_hi=4, A=2, D=4):
     # bialternant oracle needs room for the Vandermonde division
     for n in range(1, max_n + 1):
         actx = RingContext(n_x=n, m_order=0,
-                           deg_bound=D + n * (n - 1) // 2 + 1)
+                           deg_bound=symmetrizer_deg_bound(D, n))
         af = FormalGroupLaw(actx, "additive")
         seg = segre_series(af, n, -3, D)
 
@@ -551,11 +549,11 @@ def suite_thom_porteous(max_rank=4, A=2, universal_deg_cap=4, det_degree_cap=9):
         for f in range(1, max_rank + 1):
             for rk in range(0, min(e, f) + 1):
                 rect_deg = (e - rk) * (f - rk)
-                P = f * (f - 1) // 2
 
                 # universal internal assertion (truncated at a desk degree)
                 Du = min(max(rect_deg, 1), universal_deg_cap)
-                ctxu = RingContext(n_x=f, n_b=e, m_order=A, deg_bound=Du + P + 1)
+                ctxu = RingContext(n_x=f, n_b=e, m_order=A,
+                                   deg_bound=symmetrizer_deg_bound(Du, f))
                 fgu = FormalGroupLaw(ctxu, "universal")
 
                 def univ(fgu=fgu, e=e, f=f, rk=rk):
@@ -566,7 +564,8 @@ def suite_thom_porteous(max_rank=4, A=2, universal_deg_cap=4, det_degree_cap=9):
 
                 # additive: exact class vs the classical references
                 Da = max(rect_deg, 1)
-                ctxa = RingContext(n_x=f, n_b=e, m_order=0, deg_bound=Da + P + 1)
+                ctxa = RingContext(n_x=f, n_b=e, m_order=0,
+                                   deg_bound=symmetrizer_deg_bound(Da, f))
                 fga = FormalGroupLaw(ctxa, "additive")
 
                 def additive(fga=fga, ctxa=ctxa, e=e, f=f, rk=rk,
@@ -605,15 +604,14 @@ def suite_kempf_laksov(max_d=3, max_n=4, max_weight=4, A=2):
     r = _Runner("kempf-laksov")
     for d in range(1, max_d + 1):
         for n in range(d, max_n + 1):
-            P = d * (d - 1) // 2
             done = set()
             for lam in partitions_up_to(max_weight, d):
                 key = tuple(lam)
                 if key in done:
                     continue
                 done.add(key)
-                D = max(sum(lam), 1)
-                ctx = RingContext(n_x=d, n_b=n, m_order=A, deg_bound=D + P + 1)
+                bound = symmetrizer_deg_bound(max(sum(lam), 1), d)
+                ctx = RingContext(n_x=d, n_b=n, m_order=A, deg_bound=bound)
                 fgl = FormalGroupLaw(ctx, "universal")
 
                 def kl(fgl=fgl, lam=lam, d=d, n=n):
@@ -627,7 +625,7 @@ def suite_kempf_laksov(max_d=3, max_n=4, max_weight=4, A=2):
                          "[lam=%r d=%d n=%d]" % (lam, d, n), kl)
 
                 # additive specialization vs factorial Schur
-                ctxa = RingContext(n_x=d, n_b=n, m_order=0, deg_bound=D + P + 1)
+                ctxa = RingContext(n_x=d, n_b=n, m_order=0, deg_bound=bound)
                 fga = FormalGroupLaw(ctxa, "additive")
 
                 def kl_add(fga=fga, ctxa=ctxa, lam=lam, d=d, n=n):
@@ -650,9 +648,9 @@ def suite_kempf_laksov(max_d=3, max_n=4, max_weight=4, A=2):
             cap = required_weight_cap(n, D, 1 - n - D - 2)
             wctx = RingContext(n_x=n, m_order=A, deg_bound=D, m_weight_cap=cap)
             wf = FormalGroupLaw(wctx, "universal")
-            P = n * (n - 1) // 2
-            sctx = RingContext(n_x=n, m_order=A, deg_bound=D + P + 1,
-                               m_weight_cap=min(D + P + 3 + n, 63))
+            sbound = symmetrizer_deg_bound(D, n)
+            sctx = RingContext(n_x=n, m_order=A, deg_bound=sbound,
+                               m_weight_cap=min(sbound + 2 + n, 63))
             sf = FormalGroupLaw(sctx, "universal")
 
             def dp(wf=wf, sf=sf, wctx=wctx, sctx=sctx, rr=rr, n=n):
@@ -701,8 +699,7 @@ def suite_engine_certificates(samples=100, seed=5):
 
     def symmetry_homogeneity():
         A, D, n = 2, 4, 3
-        margin = n * (n - 1) // 2 + 1
-        ctx, fgl = _universal(n, 4, A, D, margin, scalars=("t",))
+        ctx, fgl = _universal(n, 4, A, symmetrizer_deg_bound(D, n), scalars=("t",))
         outputs = {
             "schur-s(2,1)": (universal_schur_s(fgl, [2, 1], n, use_b=True), 3),
             "schur-p(2,1)": (universal_schur_p(fgl, [2, 1], n), 3),
@@ -725,8 +722,8 @@ def suite_engine_certificates(samples=100, seed=5):
         # remainder, so a completed sweep is the certificate
         A, D = 2, 4
         for n in (2, 3):
-            margin = n * (n - 1) // 2 + 1
-            ctx, fgl = _universal(n, n + 2, A, D, margin, scalars=("t",))
+            ctx, fgl = _universal(n, n + 2, A, symmetrizer_deg_bound(D, n),
+                                  scalars=("t",))
             for lam in partitions_up_to(3, n):
                 universal_schur_s(fgl, lam, n)
                 universal_hall_littlewood(fgl, lam, n)

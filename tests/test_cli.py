@@ -35,6 +35,14 @@ class TestCompute:
         assert code == EXIT_INVALID
         assert "n_b >= 6" in err
 
+    def test_damon_b_budget_is_what_the_block_monomial_reads(self, capsys):
+        # (x|b)^[2,2] on two variables reads b1, b2 only, so --nb 2 is
+        # enough and a third b-variable changes nothing
+        outs = [run(capsys, "compute", "--family", "new-schur", "--lambda",
+                    "2,2", "--n", "2", "--nb", nb) for nb in ("2", "3")]
+        assert outs[0][0] == outs[1][0] == EXIT_OK, outs[0][2]
+        assert outs[0][1] == outs[1][1] != ""
+
     def test_increasing_lambda_rejected(self, capsys):
         code, _, err = run(capsys, "compute", "--family", "schur-s",
                            "--lambda", "1,2", "--n", "2", "--deg", "2")

@@ -9,13 +9,12 @@ from cobschur import (RingContext, Series, FormalGroupLaw, Partition,
                       WindowExhausted, NotInvariant, universal_schur_s,
                       new_universal_schur, new_universal_schur_one_row,
                       universal_schur_kl, universal_hall_littlewood,
-                      oracles, series_match)
+                      symmetrizer_deg_bound, oracles, series_match)
 
 
-def setup(mode, n, n_b=0, A=2, D=4, extra_margin=0, scalars=()):
-    margin = n * (n - 1) // 2 + 1 + extra_margin
+def setup(mode, n, n_b=0, A=2, D=4, scalars=()):
     ctx = RingContext(n_x=n, n_b=n_b, m_order=A if mode == "universal" else 0,
-                      deg_bound=D + margin, scalars=scalars)
+                      deg_bound=symmetrizer_deg_bound(D, n), scalars=scalars)
     return ctx, FormalGroupLaw(ctx, mode)
 
 
@@ -82,7 +81,8 @@ class TestBetweenFlags:
             pushforward_full_flag(fgl, f, 3)
 
     def test_composition(self):
-        ctx, fgl = setup("universal", 3, D=2, extra_margin=4)
+        # the partial pushforward runs on the output of between-flags
+        ctx, fgl = setup("universal", 3, D=symmetrizer_deg_bound(2, 3))
         lam = Partition([1, 1], n=3)
         f = Series.monomial(ctx, {"x1": 2, "x2": 2, "x3": 1})
         lhs = pushforward_full_flag(fgl, f, 3)
@@ -105,7 +105,7 @@ class TestBetweenFlagsClosedForm:
                   for r in range(len(lam.block_sizes)))
         n_b = max(n_b, lam.parts[0] + n - 1)
         ctx = RingContext(n_x=n, n_b=n_b, m_order=2,
-                          deg_bound=D + n * (n - 1) // 2 + 1)
+                          deg_bound=symmetrizer_deg_bound(D, n))
         fgl = FormalGroupLaw(ctx, "universal")
         num = Series.const(ctx, 1)
         for i in range(1, n + 1):
@@ -132,7 +132,8 @@ class TestGrassmannian:
 
     def test_classical_two_factor_formula(self):
         # additive: push(s_lam(Q) s_mu(S)) = s_{lam-r..., mu...}(E)
-        ctx, fgl = setup("additive", 3, D=4, extra_margin=2)
+        # the pushforward runs on S-values on one and two variables
+        ctx, fgl = setup("additive", 3, D=symmetrizer_deg_bound(4, 2))
         lam, mu = [2], [1, 1]
         q, n, r = 1, 3, 2
         f = (universal_schur_s(fgl, lam, q, var_ids=(1,))
@@ -175,7 +176,8 @@ class TestGrassmannian:
         # the d-block refinement of the juxtaposition identity: on three
         # singleton blocks the glued one-variable values recover the
         # full sequence function
-        ctx, fgl = setup("universal", 3, D=3, extra_margin=1)
+        # the pushforward runs on one-variable S-values
+        ctx, fgl = setup("universal", 3, D=symmetrizer_deg_bound(3, 1))
         n = 3
         lam = Partition([2, 1, 0], n=n)
         f = Series.const(ctx, 1)
@@ -302,6 +304,21 @@ class TestDarondeauPragacz:
         seg = segre_series(fgl, n, 1 - n, D)
         assert got == seg.coeff(k)
 
+    @pytest.mark.parametrize("form", ["series", "dict"])
+    def test_x_dependent_coefficients_rejected(self, form):
+        n, D = 2, 3
+        cap = required_weight_cap(n, D, 1 - n - D - 2)
+        ctx = RingContext(n_x=n, m_order=2, deg_bound=D, m_weight_cap=cap,
+                          aux=("s", "s1"))
+        fgl = FormalGroupLaw(ctx, "universal")
+        x1 = Series.gen(ctx, "x1")
+        f = x1 * Series.gen(ctx, "s") if form == "series" else {1: x1}
+        with pytest.raises(ValueError, match="x-free"):
+            projective_residue(fgl, f, n)
+        f = x1 * Series.gen(ctx, "s1") if form == "series" else {(1,): x1}
+        with pytest.raises(ValueError, match="x-free"):
+            darondeau_pragacz_pushforward(fgl, f, 1, n)
+
     def test_extraction_matches_symmetrizer(self):
         from cobschur import SymmetrizerSpec, symmetrize
         n, rr, D = 3, 2, 3
@@ -333,8 +350,8 @@ class TestDarondeauPragacz:
         fdict = {(3, 1): Series.const(wctx, 3),
                  (2, 2): Series.gen(wctx, "b1").scale(Fraction(-1, 2))}
         got = darondeau_pragacz_pushforward(wf, fdict, rr, n)
-        margin = n * (n - 1) // 2 + 1
-        sctx = RingContext(n_x=n, n_b=1, m_order=2, deg_bound=D + margin)
+        sctx = RingContext(n_x=n, n_b=1, m_order=2,
+                           deg_bound=symmetrizer_deg_bound(D, n))
         sf = FormalGroupLaw(sctx, "universal")
         num = (Series.monomial(sctx, {"x1": 3, "x2": 1}, coeff=3)
                + Series.monomial(sctx, {"x1": 2, "x2": 2, "b1": 1},

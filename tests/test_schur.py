@@ -6,22 +6,24 @@ import pytest
 from cobschur import (RingContext, Series, FormalGroupLaw, Partition,
                       Permutation, RemainderError, NotInvariant, SymmetrizerSpec,
                       coset_reps, subgroup_elements, symmetrize,
+                      symmetrizer_deg_bound,
                       factorial_power, double_factorial_power,
                       bracket_monomial, universal_schur_s, universal_schur_p,
                       universal_schur_q, universal_hall_littlewood,
                       new_universal_schur, new_universal_schur_one_row,
                       universal_schur_kl, BudgetError, oracles, series_match,
-                      partitions_up_to)
+                      partitions_up_to, pushforward_full_flag,
+                      pushforward_partial_flag, pushforward_between_flags,
+                      grassmannian_pushforward)
 from cobschur.schur import _coset_kernel
 
 
 def setup(mode, n, n_b=0, A=2, D=4, scalars=()):
-    margin = n * (n - 1) // 2 + 1
     sc = list(scalars)
     if mode == "multiplicative":
         sc.append("beta")
     ctx = RingContext(n_x=n, n_b=n_b, m_order=A if mode == "universal" else 0,
-                      deg_bound=D + margin, scalars=tuple(sc))
+                      deg_bound=symmetrizer_deg_bound(D, n), scalars=tuple(sc))
     return ctx, FormalGroupLaw(ctx, mode)
 
 
@@ -563,6 +565,16 @@ class TestDamonType:
         b = universal_schur_s(fgl, [1, 1], 2, use_b=True)
         assert not series_match(a, b)[0]
 
+    def test_b_budget_is_what_the_block_monomial_reads(self):
+        # (x|b)^[2,2] on two variables is [x1|b]^2 [x2|b]^2: b1, b2 only
+        _, tight = setup("universal", 2, n_b=2, D=4)
+        _, roomy = setup("universal", 2, n_b=3, D=4)
+        assert series_match(new_universal_schur(tight, [2, 2], 2, use_b=True),
+                            new_universal_schur(roomy, [2, 2], 2, use_b=True))[0]
+        _, short = setup("universal", 2, n_b=1, D=4)
+        with pytest.raises(BudgetError, match="n_b >= 2"):
+            new_universal_schur(short, [2, 2], 2, use_b=True)
+
     def test_one_row_extended_range(self):
         ctx, fgl = setup("universal", 2, D=4)
         assert series_match(new_universal_schur_one_row(fgl, 1, 2),
@@ -588,3 +600,57 @@ class TestKempfLaksovType:
         ctx, fgl = setup("additive", 3, n_b=4, D=3)
         got = universal_schur_kl(fgl, [2, 1], 3, use_b=True)
         assert series_match(got, oracles.factorial_schur(ctx, [2, 1], 3))[0]
+
+
+class TestSymmetrizerDegBound:
+    """symmetrizer_deg_bound(D, n) against the engine's trust rule, on
+    every family and every pushforward at n <= 4, D <= 3."""
+
+    @staticmethod
+    def universal(bound, n):
+        ctx = RingContext(n_x=n, m_order=2, deg_bound=bound, scalars=("t",))
+        return ctx, FormalGroupLaw(ctx, "universal")
+
+    @staticmethod
+    def values(ctx, fgl, n):
+        """(name, value, the spec its symmetrizer runs) for each family and
+        pushforward; [1] and the empty shape give both pair and no-pair
+        block shapes."""
+        Q, S = SymmetrizerSpec.quotient, SymmetrizerSpec.subgroup
+        one = Series.const(ctx, 1)
+        row = Partition([1], n=n)
+        out = [("schur-s", universal_schur_s(fgl, [1], n), Q((1,) * n)),
+               ("schur-p", universal_schur_p(fgl, [1], n), Q((1, n - 1))),
+               ("schur-q", universal_schur_q(fgl, [1], n), Q((1, n - 1))),
+               ("hl", universal_hall_littlewood(fgl, row, n), Q(row.block_sizes)),
+               ("new-schur", new_universal_schur(fgl, row, n), Q(row.block_sizes)),
+               ("one-row", new_universal_schur_one_row(fgl, 1, n), Q((1, n - 1))),
+               ("schur-kl", universal_schur_kl(fgl, [1], n), Q((1, n - 1))),
+               ("full-flag", pushforward_full_flag(fgl, one, n), Q((1,) * n)),
+               ("grassmannian", grassmannian_pushforward(fgl, one, 1, n),
+                Q((1, n - 1)))]
+        for lam in (row, Partition([], n=n)):
+            out.append(("partial%r" % (lam,), pushforward_partial_flag(
+                fgl, one, lam, n), Q(lam.block_sizes)))
+            out.append(("between%r" % (lam,), pushforward_between_flags(
+                fgl, one, lam, n), S(lam.block_sizes)))
+        return out
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("D", [0, 1, 2, 3])
+    def test_every_symmetrizer_is_trusted_to_D(self, n, D):
+        ctx, fgl = self.universal(symmetrizer_deg_bound(D, n), n)
+        for name, value, spec in self.values(ctx, fgl, n):
+            assert value.bound >= D, name
+            # each pair costs its degree; the pair units cost one more
+            assert value.bound == (D if spec.pair_set else D + 1), name
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("D", [0, 1, 2, 3])
+    def test_applied_twice_covers_partial_after_between(self, n, D):
+        bound = symmetrizer_deg_bound(symmetrizer_deg_bound(D, n), n)
+        ctx, fgl = self.universal(bound, n)
+        f = Series.const(ctx, 1)
+        for lam in (Partition([1], n=n), Partition([], n=n)):
+            mid = pushforward_between_flags(fgl, f, lam, n)
+            assert pushforward_partial_flag(fgl, mid, lam, n).bound >= D, lam
