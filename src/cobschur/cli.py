@@ -244,8 +244,10 @@ def cmd_oracle(args):
         scalars.append("beta")
     lam1 = lam[0] if lam else 0
     try:
+        # the bialternant divides by the Vandermonde, of degree n(n-1)/2
         ctx = RingContext(n_x=n, n_b=max(lam1 + n - 1, 0), m_order=0,
-                          deg_bound=sum(lam) + n + 2, scalars=tuple(scalars))
+                          deg_bound=sum(lam) + max(n + 2, n * (n - 1) // 2),
+                          scalars=tuple(scalars))
         if args.family == "schur":
             val = oracles.classical_schur(ctx, lam, n)
         elif args.family == "factorial-schur":

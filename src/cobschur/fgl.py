@@ -14,6 +14,14 @@ n- and t-series are derived.  Modes:
     multiplicative  c_i = (-beta)^i / (i+1), so F(u, v) = u + v + beta*u*v
     custom          c_i = explicit rationals supplied by the caller
 
+Each table is built one way.  The logarithm's and the exponential's
+coefficient tables live in the law's own context: the exponential is
+solved from the logarithm by a power-table recursion (_exp_table).  The
+coefficients of F(u, v) and of F(u, conj v) come from one expansion each
+on a nested scratch law over a ring in u, v, grouped into a table
+{(p, q): coefficient} over the law's context (_f_table); a_{p,q} is a
+look-up in it.
+
 All derived tables are cached on the instance and immutable afterwards,
 so a FormalGroupLaw is safe to share between concurrent readers.
 """
@@ -39,67 +47,9 @@ class FormalGroupLaw:
         self.ctx = ctx
         self.mode = mode
         self._custom = dict(custom_log_coeffs or {})
-        self._log = self._log_coefficients()
-        self._exp = self._exp_coefficients()
+        self._log = _log_table(ctx, mode, self._custom)
+        self._exp = _exp_table(self._log)
         self._cache = {}
-
-    # -- logarithm / exponential coefficient tables ---------------------
-
-    def _log_coeff(self, i):
-        """Coefficient of y^{i+1} in the logarithm, as a Series."""
-        ctx = self.ctx
-        if self.mode == "additive":
-            return Series.zero(ctx)
-        if self.mode == "universal":
-            if i <= ctx.m_order:
-                return Series.gen(ctx, "m%d" % i)
-            return Series.zero(ctx)
-        if self.mode == "multiplicative":
-            beta = Series.gen(ctx, "beta")
-            return (beta ** i).scale(Fraction((-1) ** i, i + 1))
-        return Series.const(ctx, self._custom.get(i, 0))
-
-    def _log_coefficients(self):
-        # index k -> coefficient of y^k; trailing zero coefficients kept
-        # so Horner loops can run to the context bound
-        B = self.ctx.deg_bound
-        table = [None, Series.const(self.ctx, 1)]
-        for k in range(2, B + 1):
-            table.append(self._log_coeff(k - 1))
-        return table
-
-    def _exp_coefficients(self):
-        """Solve log(exp(y)) = y order by order (undetermined coefficients).
-
-        Carried out on a scratch one-variable context; the y^k coefficients
-        (polynomials in the m/beta generators) are then rebuilt over the
-        main context.
-        """
-        ctx = self.ctx
-        B = ctx.deg_bound
-        if B < 1:
-            return [None, Series.const(ctx, 1)]
-        sc = RingContext(n_x=0, n_b=0, m_order=ctx.m_order, deg_bound=B,
-                         scalars=ctx.scalars, aux=("y",),
-                         m_weight_cap=min(ctx.m_weight_cap, 63),
-                         t_bound=ctx.t_bound)
-        fg = object.__new__(FormalGroupLaw)
-        fg.ctx = sc
-        fg.mode = self.mode
-        fg._custom = self._custom
-        fg._log = fg._log_coefficients()
-        y = Series.gen(sc, "y")
-        E = y
-        for n in range(2, B + 1):
-            err = fg._apply_table(fg._log, E) - y
-            cn = _coefficient_of_power(err, "y", n)
-            if not cn.is_zero():
-                E = E - cn * y ** n
-        out = [None]
-        for k in range(1, B + 1):
-            ck = _coefficient_of_power(E, "y", k)
-            out.append(_rebuild(ck, ctx))
-        return out
 
     # -- series application ---------------------------------------------
 
@@ -192,12 +142,13 @@ class FormalGroupLaw:
     # -- coefficients of F ---------------------------------------------------
 
     def _f_table(self, conj_v=False):
-        """F(u, v), or F(u, conj(v)), over this law's scratch ring in u, v.
+        """F(u, v), or F(u, conj(v)), as {(p, q): x-free Series over this
+        context}, the coefficient of u^p v^q.
 
-        The scratch ring and its law are built once, on first use, at
-        (u, v)-degree W + 1 (at most 60) for the weight cap W: a_{p,q} has
-        weight p + q - 1, so every coefficient the cap keeps has
-        p + q <= W + 1.
+        F is expanded once, on first use, by this law's scratch law over
+        the ring in u, v at (u, v)-degree W + 1 (at most 60) for the weight
+        cap W: a_{p,q} has weight p + q - 1, so every coefficient the cap
+        keeps has p + q <= W + 1.
         """
         key = ("ftable", conj_v)
         if key not in self._cache:
@@ -214,31 +165,37 @@ class FormalGroupLaw:
             u, v = Series.gen(fg.ctx, "u"), Series.gen(fg.ctx, "v")
             if conj_v:
                 v = fg.formal_inverse(v)
-            self._cache[key] = fg.formal_sum(u, v)
+            F, sc = fg.formal_sum(u, v), fg.ctx
+            # each coefficient is a polynomial in m/beta: move its exponent
+            # fields slot by slot into this context's keys
+            slots = [(sc._shifts[i], sc._slot_masks[i], self.ctx.gen_unit(nm))
+                     for i, nm in enumerate(sc.gen_names)
+                     if nm not in ("u", "v")]
+            groups = {}
+            for k, c in F.terms.items():
+                base = sum(((k >> sh) & mask) * unit for sh, mask, unit in slots)
+                pq = (sc.key_exp(k, "u"), sc.key_exp(k, "v"))
+                groups.setdefault(pq, {})[base] = c
+            self._cache[key] = {pq: Series(self.ctx, terms, self.ctx.deg_bound)
+                                for pq, terms in groups.items()}
         return self._cache[key]
 
     def a_coefficient(self, i, j):
         """The coefficient a_{i,j} of u^i v^j in F(u, v), in this context.
 
         Returned as a Series in the m/beta generators (a rational for the
-        explicit modes).  Requires i + j - 1 within the weight cap.  The
-        first call builds F(u, v) for the whole cap W (see _f_table), so
-        in a context with a large cap even a_{1,1} pays for that table.
+        explicit modes), looked up in the grouped F(u, v) table.  Requires
+        i + j - 1 within the weight cap.  The first call builds that table
+        for the whole cap W (see _f_table), so in a context with a large
+        cap even a_{1,1} pays for it.
         """
-        key = ("a", i, j)
-        if key not in self._cache:
-            if i < 1 or j < 1:
-                raise ValueError("a_{i,j} needs i, j >= 1")
-            if i + j - 1 > self.ctx.m_weight_cap:
-                raise TruncationError("a_{%d,%d} exceeds the weight cap" % (i, j))
-            if i + j > MAX_DEG_BOUND:
-                raise TruncationError("requested F-table degree too large")
-            F = self._f_table()
-            coeff = _coefficient_of_power(_coefficient_of_power(F, "u", i), "v", j)
-            # an exact polynomial in m/beta, trusted to the full context bound
-            terms = _rebuild(coeff, self.ctx).terms
-            self._cache[key] = Series(self.ctx, terms, self.ctx.deg_bound)
-        return self._cache[key]
+        if i < 1 or j < 1:
+            raise ValueError("a_{i,j} needs i, j >= 1")
+        if i + j - 1 > self.ctx.m_weight_cap:
+            raise TruncationError("a_{%d,%d} exceeds the weight cap" % (i, j))
+        if i + j > MAX_DEG_BOUND:
+            raise TruncationError("requested F-table degree too large")
+        return self._f_table().get((i, j), Series.zero(self.ctx))
 
     def invariant_differential_denominator(self, var="s"):
         """1 + sum_i a_{i,1} s^i, equal to dF/dv at v = 0 and to 1/log'."""
@@ -256,34 +213,41 @@ class FormalGroupLaw:
         return lp.truncate(ctx.deg_bound - 1).invert_unit()
 
 
-def _coefficient_of_power(series, var, k):
-    """Coefficient of var^k as a Series (var removed) over the same context."""
-    ctx = series.ctx
-    i = ctx._gen_index[var]
-    sh, mask = ctx._shifts[i], ctx._slot_masks[i]
-    unit = ctx._units[i]
-    out = {}
-    for key, c in series.terms.items():
-        if (key >> sh) & mask == k:
-            out[key - k * unit] = c
-    return Series(ctx, out, series.bound)
+def _log_table(ctx, mode, custom):
+    """[None, 1, c_1, ..., c_{B-1}]: the y^k coefficient of log(y) at index
+    k for the context bound B.  Zero coefficients are kept so the Horner
+    loops can run to the bound."""
+    table = [None, Series.const(ctx, 1)]
+    for i in range(1, ctx.deg_bound):
+        if mode == "universal" and i <= ctx.m_order:
+            c = Series.gen(ctx, "m%d" % i)
+        elif mode == "multiplicative":
+            c = (Series.gen(ctx, "beta") ** i).scale(Fraction((-1) ** i, i + 1))
+        else:
+            c = Series.const(ctx, custom.get(i, 0) if mode == "custom" else 0)
+        table.append(c)
+    return table
 
 
-def _rebuild(series, target_ctx):
-    """Re-create a series over another context by generator names.
+def _exp_table(log):
+    """The exponential's table, e_k at index k, from the logarithm's.
 
-    Terms whose monomials exceed the target bounds are dropped, so this
-    is a truncating transport; all real uses move polynomials in the
-    m/beta/t generators whose weight fits the target cap.
+    log(exp(y)) = y gives e_n = -sum_{k=2..n} c_{k-1} P[k][n] for n >= 2,
+    with P[k][n] the y^n coefficient of exp(y)^k.  P[k][n] =
+    sum_i e_i P[k-1][n-i] reads only e_i with i < n, and P[k] is needed
+    only up to the last k with c_{k-1} nonzero.
     """
-    out = {}
-    for key, c in series.terms.items():
-        exps = series.ctx.exps_from_key(key)
-        try:
-            nk = target_ctx.key_from_exps(exps)
-        except TruncationError:
-            continue
-        out[nk] = out.get(nk, 0) + c
-    return Series(target_ctx, {k: v for k, v in out.items() if v != 0},
-                  min(series.bound, target_ctx.deg_bound))
-
+    one, B = log[1], len(log) - 1
+    zero = Series.zero(one.ctx)
+    top = max((k for k in range(2, B + 1) if not log[k].is_zero()), default=1)
+    exp = [None, one]
+    # power[k] = [P[k][0], ..., P[k][m]], with P[k][m] = 0 for m < k
+    power = [None, exp] + [[zero] * k + [one] for k in range(2, top + 1)]
+    for n in range(2, B + 1):
+        for k in range(2, min(n - 1, top) + 1):
+            prev = power[k - 1]
+            power[k].append(sum((exp[i] * prev[n - i]
+                                 for i in range(1, n - k + 2)), zero))
+        exp.append(-sum((log[k] * power[k][n]
+                         for k in range(2, min(n, top) + 1)), zero))
+    return exp

@@ -302,32 +302,14 @@ def projective_residue(fgl, f, n, var="s"):
 
 
 def _tsum_window(fgl, pos_i, pos_j, r):
-    """(t_j +_L conj(t_i)) as an r-variable window (components <= 0).
-
-    Read off F(u, conj v) on the law's scratch ring, whose degree W + 1
-    holds every coefficient the weight cap keeps.
-    """
-    from .fgl import _rebuild
-    ctx = fgl.ctx
-    F = fgl._f_table(conj_v=True)
-    sc = F.ctx
+    """(t_j +_L conj(t_i)) as an r-variable window (components <= 0): the
+    u^p v^q coefficient of F(u, conj v) sits at t_j^p t_i^q."""
     out = {}
-    for key, c in F.terms.items():
-        a = sc.key_exp(key, "u")    # power of t_j
-        b = sc.key_exp(key, "v")    # power of t_i
-        base = sc.exps_from_key(key)
-        base.pop("u", None)
-        base.pop("v", None)
-        coeff = _rebuild(Series(sc, {sc.key_from_exps(base): c}, sc.deg_bound), ctx)
-        coeff = Series(ctx, coeff.terms, ctx.deg_bound)
-        if coeff.is_zero():
-            continue
+    for (p, q), c in fgl._f_table(conj_v=True).items():
         j = [0] * r
-        j[pos_i - 1] = -b
-        j[pos_j - 1] = -a
-        j = tuple(j)
-        out[j] = out.get(j, Series.zero(ctx)) + coeff
-    return {j: c for j, c in out.items() if not c.is_zero()}
+        j[pos_i - 1], j[pos_j - 1] = -q, -p
+        out[tuple(j)] = c
+    return out
 
 
 def darondeau_pragacz_pushforward(fgl, f, r, n, var_prefix="s"):

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -50,3 +51,31 @@ def graded_component(series, d):
     ctx = series.ctx
     t = {k: c for k, c in series.terms.items() if ctx.key_total_degree(k) == d}
     return Series(ctx, t, series.bound)
+
+
+def sympy_exp_coefficients(top):
+    """[0, 1, e_2, ..., e_top] with exp(y) = sum_k e_k y^k the inverse of
+    log(y) = y + m1 y^2 + m2 y^3 + m3 y^4 over Q[m1, m2, m3], as sympy
+    expressions solved order by order from log(exp(y)) = y."""
+    import sympy
+    y, a = sympy.symbols("y a")
+    log_c = [0, 1] + list(sympy.symbols("m1:4"))
+    exp_c = [0, 1]
+    for n in range(2, top + 1):
+        E = sum(c * y ** k for k, c in enumerate(exp_c)) + a * y ** n
+        lhs = sum(log_c[k] * E ** k for k in range(1, min(n, 4) + 1))
+        eq = sympy.expand(lhs).coeff(y, n)
+        exp_c.append(sympy.expand(sympy.solve(eq, a)[0]))
+    return exp_c
+
+
+def to_sympy(f):
+    """A Series as a sympy expression in symbols named after its generators."""
+    import sympy
+    out = sympy.Integer(0)
+    for key, c in f.terms.items():
+        term = sympy.Rational(Fraction(c).numerator, Fraction(c).denominator)
+        for name, e in f.ctx.exps_from_key(key).items():
+            term *= sympy.Symbol(name) ** e
+        out += term
+    return out

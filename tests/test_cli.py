@@ -224,6 +224,16 @@ class TestOracle:
                            "--lambda", "2,1", "--n", "3")
         assert code == EXIT_OK and "x1^2*x2" in out
 
+    def test_schur_oracle_at_five_variables(self, capsys):
+        # the context must hold the Vandermonde division, n(n-1)/2 = 10
+        code, out, _ = run(capsys, "oracle", "--family", "schur",
+                           "--lambda", "2,1", "--n", "5")
+        assert code == EXIT_OK
+        code, want, _ = run(capsys, "compute", "--family", "schur-s",
+                            "--mode", "additive", "--lambda", "2,1",
+                            "--n", "5", "--deg", "3")
+        assert code == EXIT_OK and out == want and "x1^2*x2" in out
+
     @pytest.mark.parametrize("n", ["7", "1000"])
     def test_n_above_limit_rejected(self, capsys, n):
         code, out, err = run(capsys, "oracle", "--family", "schur",

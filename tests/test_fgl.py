@@ -1,10 +1,11 @@
+import functools
 import random
 from fractions import Fraction
 
 import pytest
 
 from cobschur import RingContext, Series, FormalGroupLaw
-from conftest import random_series
+from conftest import random_series, sympy_exp_coefficients, to_sympy
 
 
 def make(mode, n_x=2, A=3, D=6, scalars=(), aux=()):
@@ -212,3 +213,101 @@ class TestSpecialize:
         f = FormalGroupLaw(ctx, "custom", {1: Fraction(1, 2)})
         x1 = Series.gen(ctx, "x1")
         assert f.logarithm(x1) == x1 + (x1 ** 2).scale(Fraction(1, 2))
+
+
+# ---------------------------------------------------------------------------
+# The exponential's table against undetermined coefficients, and the
+# coefficients of F against sympy.
+
+
+def reference_exp_table(f):
+    """Solve log(exp(y)) = y order by order on a one-variable ring in y,
+    then move each y^k coefficient into the law's context."""
+    from cobschur.fgl import _log_table
+    ctx = f.ctx
+    B = ctx.deg_bound
+    if B < 1:
+        return [None, Series.const(ctx, 1)]
+    sc = RingContext(n_x=0, m_order=ctx.m_order, deg_bound=B,
+                     scalars=ctx.scalars, aux=("y",),
+                     m_weight_cap=ctx.m_weight_cap, t_bound=ctx.t_bound)
+    log = _log_table(sc, f.mode, f._custom)
+    y = Series.gen(sc, "y")
+    unit = sc.gen_unit("y")
+
+    def coefficient(series, k):
+        return Series(sc, {key - k * unit: c for key, c in series.terms.items()
+                           if sc.key_exp(key, "y") == k}, series.bound)
+
+    E = y
+    for n in range(2, B + 1):
+        err, power = -y, Series.const(sc, 1)
+        for k in range(1, B + 1):
+            power = power * E
+            err = err + log[k] * power
+        cn = coefficient(err, n)
+        if not cn.is_zero():
+            E = E - cn * y ** n
+    # each y^k coefficient is a polynomial in m/beta: move it by names
+    return [None] + [Series(ctx, {ctx.key_from_exps(sc.exps_from_key(key)): c
+                                  for key, c in coefficient(E, k).terms.items()},
+                            ctx.deg_bound) for k in range(1, B + 1)]
+
+
+@pytest.mark.parametrize("mode", ["universal", "additive", "multiplicative",
+                                  "custom"])
+def test_exp_table_matches_undetermined_coefficients(mode):
+    for B in (0, 1, 2, 5, 8, 11):
+        for W in (None, 3, 7):
+            ctx = RingContext(n_x=1, m_order=4 if mode == "universal" else 0,
+                              deg_bound=B, m_weight_cap=W,
+                              scalars=("beta",) if mode == "multiplicative" else ())
+            f = FormalGroupLaw(ctx, mode, {1: Fraction(1, 2), 3: Fraction(-2, 3)}
+                               if mode == "custom" else None)
+            want = reference_exp_table(f)
+            assert len(f._exp) == len(want)
+            for got, ref in zip(f._exp[1:], want[1:]):
+                assert got == ref and got.bound == ref.bound
+
+
+@functools.lru_cache(maxsize=None)
+def _sympy_f_coefficients(conj_v, top=6):
+    """{(p, q): u^p v^q coefficient} of F(u, v) or F(u, conj v) to degree
+    ``top``, for log(y) = y + m1 y^2 + m2 y^3 + m3 y^4 over Q[m1, m2, m3]."""
+    import sympy
+    from sympy.polys.rings import ring
+    K = sympy.QQ["m1", "m2", "m3"]
+    R, u, v = ring("u,v", K)
+    log_c = [0, 1] + [R(m) for m in K.gens] + [0] * top
+    exp_c = [R(K.from_sympy(c)) for c in sympy_exp_coefficients(top)]
+
+    def power_series(coeffs, a):
+        # sum_k coeffs[k] a^k, cut above (u, v)-degree top
+        acc, power = R(0), R(1)
+        for k in range(1, top + 1):
+            power = R({mon: c for mon, c in (power * a).items()
+                       if sum(mon) <= top})
+            acc += coeffs[k] * power
+        return acc
+
+    vv = power_series(exp_c, -power_series(log_c, v)) if conj_v else v
+    F = power_series(exp_c, power_series(log_c, u) + power_series(log_c, vv))
+    return {pq: K.to_sympy(c) for pq, c in F.items()}
+
+
+@pytest.mark.parametrize("W", [0, 1, 2, 3, 4, 5])
+def test_f_coefficients_match_sympy(W):
+    import sympy
+    ctx = RingContext(n_x=1, m_order=3, deg_bound=4, m_weight_cap=W)
+    f = FormalGroupLaw(ctx, "universal")
+    # a_{p,q} has weight p + q - 1, so the cap W keeps all of it or nothing
+    want = _sympy_f_coefficients(False)
+    for p in range(1, W + 1):
+        for q in range(1, W + 2 - p):
+            got = sympy.expand(to_sympy(f.a_coefficient(p, q)))
+            assert got == want.get((p, q), 0)
+    want = _sympy_f_coefficients(True)
+    table = f._f_table(conj_v=True)
+    assert set(table) == {pq for pq in want if sum(pq) <= W + 1}
+    for pq, c in table.items():
+        assert sympy.expand(to_sympy(c)) == want[pq]

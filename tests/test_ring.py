@@ -9,7 +9,7 @@ from cobschur import (RingContext, Series, Permutation, ContextMismatch,
                       NotAUnit, RemainderError, TruncationError, series_sum)
 from cobschur.ring import SLOT_BITS, _normalize_coeff
 from cobschur.schur import coset_reps
-from conftest import graded_component, random_series
+from conftest import graded_component, random_series, to_sympy
 
 
 def gens(ctx, *names):
@@ -412,18 +412,6 @@ def test_divided_difference_matches_linear_division(data):
                 assert same_series(f.divided_difference(i, j), want), (i, j)
 
 
-def to_sympy(f, symbols):
-    import sympy
-    ctx = f.ctx
-    out = sympy.Integer(0)
-    for key, c in f.terms.items():
-        term = sympy.Rational(Fraction(c).numerator, Fraction(c).denominator)
-        for name, e in ctx.exps_from_key(key).items():
-            term *= symbols[name] ** e
-        out += term
-    return out
-
-
 @settings(max_examples=30, deadline=None)
 @given(st.data())
 def test_divided_difference_matches_sympy(data):
@@ -434,14 +422,14 @@ def test_divided_difference_matches_sympy(data):
     # a linear factor puts several terms into one image group
     mix = series_sum(ctx, [Series.gen(ctx, "x%d" % k).scale(k) for k in range(1, n + 1)])
     f = data.draw(dd_series(ctx, max_terms=3)) * mix
-    F = to_sympy(f, symbols)
+    F = to_sympy(f)
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             if i != j:
                 xi, xj = symbols["x%d" % i], symbols["x%d" % j]
                 swap = F.subs({xi: xj, xj: xi}, simultaneous=True)
                 want = sympy.cancel((F - swap) / (xi - xj))
-                got = to_sympy(f.divided_difference(i, j), symbols)
+                got = to_sympy(f.divided_difference(i, j))
                 assert sympy.expand(got - want) == 0, (i, j)
 
 

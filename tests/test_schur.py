@@ -16,6 +16,7 @@ from cobschur import (RingContext, Series, FormalGroupLaw, Partition,
                       pushforward_partial_flag, pushforward_between_flags,
                       grassmannian_pushforward)
 from cobschur.schur import _coset_kernel
+from conftest import sympy_exp_coefficients, to_sympy
 
 
 def setup(mode, n, n_b=0, A=2, D=4, scalars=()):
@@ -164,6 +165,75 @@ class TestSymmetrizeEngine:
         assert coeff({"x1": 1, "x2": 1}) == a12
         assert coeff({"b1": 1, "x1": 1, "x2": 1}) == \
             (a11 * a12).scale(2) + a13.scale(2)
+
+
+def external_b1x1x2_coefficient():
+    """The b1*x1*x2 coefficient of the n = 2 empty-partition S-function,
+    F(x1, b1) / F(x1, conj x2) + (x1 <-> x2), from that definition alone.
+
+    Sympy polynomials over Q[m1, m2, m3] for log(y) = y + m1 y^2 + m2 y^3
+    + m3 y^4 and exp(y) = sum_k e_k y^k.  Every variable is scaled by eps,
+    and products are cut above eps^4.  With log u - log v = (u - v) H,
+    F(u, conj v) = exp(log u - log v) = (u - v) U for the unit
+    U = H sum_k e_k L^(k-1), L = (u - v) H, inverted by its geometric
+    series.  The sum over x1 <-> x2 is then divided by x1 - x2 once.
+    """
+    import sympy
+    from sympy.polys.rings import ring
+    top = 4
+    K = sympy.QQ["m1", "m2", "m3"]
+    R, eps, x1, x2, b1 = ring("eps,x1,x2,b1", K)
+    log_c = [R(0), R(1)] + [R(m) for m in K.gens]
+    exp_c = [R(K.from_sympy(c)) for c in sympy_exp_coefficients(top)]
+
+    def cut(a, order=top):
+        return R({mon: c for mon, c in a.items() if mon[0] <= order})
+
+    def power_series(coeffs, a):
+        acc, power = R(0), R(1)
+        for k in range(1, top + 1):
+            power = cut(power * a)
+            acc += coeffs[k] * power
+        return acc
+
+    def F(u, v):
+        return power_series(exp_c, power_series(log_c, u)
+                            + power_series(log_c, v))
+
+    def inverse_pair_unit(u, v):
+        H = sum((log_c[k] * sum(u ** i * v ** (k - 1 - i) for i in range(k))
+                 for k in range(1, top + 1)), R(0))
+        L = cut((u - v) * H)
+        U = cut(H * sum((exp_c[k] * L ** (k - 1)
+                         for k in range(1, top + 1)), R(0)))
+        return sum((cut((1 - U) ** k) for k in range(top + 1)), R(0))
+
+    def drop_eps(a):
+        return R({(mon[0] - 1,) + mon[1:]: c for mon, c in a.items()})
+
+    # S = N1 / (eps (x1 - x2) U1) + N2 / (eps (x2 - x1) U2) with
+    # N_i = F(eps x_i, eps b1); its eps^3 part needs N_i to eps^4
+    u1, u2, b = eps * x1, eps * x2, eps * b1
+    T = cut(drop_eps(F(u1, b)) * inverse_pair_unit(u1, u2)
+            - drop_eps(F(u2, b)) * inverse_pair_unit(u2, u1), top - 1)
+    S, remainder = T.div(x1 - x2)
+    assert remainder == 0
+    return K.to_sympy(S.coeff(eps ** 3 * b1 * x1 * x2))
+
+
+class TestEmptyPartitionExternalCheck:
+    def test_b1x1x2_coefficient_from_the_definition(self):
+        # the evidence on criterion 02b: this value, not the literature's
+        # a_{1,1} a_{1,2}, is what the definition gives
+        import sympy
+        m1, m2, m3 = sympy.symbols("m1:4")
+        want = external_b1x1x2_coefficient()
+        assert sympy.expand(want - (-32 * m1 ** 3 + 36 * m1 * m2 - 8 * m3)) == 0
+        _, fgl = setup("universal", 2, n_b=1, A=3, D=4)
+        x1, x2, b1 = sympy.symbols("x1 x2 b1")
+        s = to_sympy(universal_schur_s(fgl, [], 2, use_b=True))
+        got = sympy.Poly(s, x1, x2, b1).coeff_monomial(x1 * x2 * b1)
+        assert sympy.expand(got - want) == 0
 
 
 def reference_kernel(fgl, spec, w, bound):
