@@ -2,7 +2,9 @@
 emit Segre windows, evaluate classical oracles, apply pushforwards.
 
 Exit codes: 0 ok, 1 verification failure, 2 invalid input, 3 internal
-assertion (remainder/consistency) failure.
+assertion: a division that should be exact left a remainder
+(RemainderError from a linear division or the Hall-Littlewood
+normalization).
 """
 
 from __future__ import annotations
@@ -30,7 +32,8 @@ EXIT_VERIFY = 1
 EXIT_INVALID = 2
 EXIT_INTERNAL = 3
 
-# largest --n accepted: the symmetrizer enumerates up to n! permutations
+# largest --n accepted: a symmetrizer applies up to n(n-1)/2 divided
+# differences, and the oracles sum over all n! permutations
 MAX_N = 5
 
 FAMILIES = ("schur-s", "schur-seq", "schur-p", "schur-q", "hl",

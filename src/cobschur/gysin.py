@@ -1,20 +1,23 @@
 """Gysin pushforwards, residues, Segre windows, and degeneracy-locus classes.
 
-The flag-bundle pushforwards are coset symmetrizers (see schur.symmetrize);
-the projective-bundle residue and the Segre generating series expand
-rational expressions "at infinity" in one auxiliary variable.  The
-expansion variable u = 1/t is tracked by integer window keys, never as a
-ring generator, so all coefficient arithmetic stays in the truncated
-series ring.  Every window is finite because of the truncation alone.
-Weight (deg m_i = -i, deg beta = -1) is never negative and adds under
-multiplication, and a_{p,q} has weight p + q - 1, so a term at u^j of a
-window factor has weight equal to its x-degree minus j, up to a constant
-per factor.  With x-degree at most D and weight at most the cap W, each
-factor has keys in a range of length D + W, and every product and
-geometric inversion is finite and exact modulo x-degree > D and weight
-> W.  A custom law with nonzero log coefficients has weight-0 a_{p,q}, so
-the truncation does not bound its windows, and the window functions
-reject it.
+The flag-bundle pushforwards are coset symmetrizers (see schur.symmetrize).
+The projective-bundle residue and the Darondeau-Pragacz extraction
+expand "at infinity" in one auxiliary variable t = 1/u, and both read
+the coefficients of one Segre series
+
+    S(u) = sum_k S_k u^k = 1 / (omega(t) * prod_i F(t, conj(x_i)) / t),
+
+with omega(t) = 1 + sum_p a_{p,1} t^p.  Give t and x_i degree 1, m_i
+degree -i and beta degree -1: a_{p,q} has degree 1 - p - q, so every
+factor is homogeneous of degree 0 and S_k is homogeneous of degree k.
+So u is never a ring generator: S is computed at t = 1, as the inverse
+of omega(1) * prod_i F(1, conj(x_i)), one Series in the law's own ring,
+and S_k is its part of total degree k.  A monomial of the ring fixes
+its degree, so this is exact modulo x-degree > D and weight > W, the
+truncation of every product, and every window is finite because of that
+truncation alone.  A custom law with nonzero log coefficients has
+weight-0 a_{p,q}, so its factors are not homogeneous, and the window
+functions reject it.
 """
 
 from __future__ import annotations
@@ -105,95 +108,6 @@ class LaurentWindow:
             self.var, self.k_min, self.k_max, len(self.coeffs))
 
 
-def _mwmul(A, B, los=None, his=None):
-    """Product of two windows keyed by exponent tuples.
-
-    Keys add componentwise; with ``los`` and ``his`` the product is
-    clipped to the box los <= key <= his.
-    """
-    out = {}
-    for ja, a in A.items():
-        for jb, b in B.items():
-            j = tuple(x + y for x, y in zip(ja, jb))
-            if los is not None and not all(
-                    lo <= e <= hi for lo, e, hi in zip(los, j, his)):
-                continue
-            p = a * b
-            if p.is_zero():
-                continue
-            if j in out:
-                out[j] = out[j] + p
-            else:
-                out[j] = p
-    return {j: c for j, c in out.items() if not c.is_zero()}
-
-
-def _geometric_inverse(ctx, g):
-    """Window of 1 / (1 + g), summed as sum_s (-g)^s.
-
-    Every term of g has positive x-degree or positive weight, so (-g)^s
-    has x-degree plus weight >= s and vanishes once s > D + W.
-    """
-    neg = {j: -c for j, c in g.items()}
-    power = {(0,): Series.const(ctx, 1)}
-    total = dict(power)
-    while power:
-        power = _mwmul(power, neg)
-        for j, c in power.items():
-            total[j] = total[j] + c if j in total else c
-    return {j: c for j, c in total.items() if not c.is_zero()}
-
-
-def _pair_factor_window(fgl, i):
-    """r_i with t +_L conj(x_i) = t * (1 + r_i), as a u-window.
-
-    r_i = u * (conj(x_i) + sum_{p,q >= 1} a_{p,q} t^p conj(x_i)^q).  The
-    term at u^{1-p} has weight (p + q - 1) + (x-degree - q), its x-degree
-    minus its key, so p runs to the weight cap W and q to D.
-    """
-    ctx = fgl.ctx
-    D, W = ctx.deg_bound, ctx.m_weight_cap
-    xb = fgl.x_inverse(i)
-    powers = [None, xb]
-    while len(powers) <= D:
-        powers.append(powers[-1] * xb)
-    out = {(1,): xb}
-    for p in range(1, W + 1):
-        acc = Series.zero(ctx)
-        for q in range(1, min(D, W + 1 - p) + 1):
-            a = fgl.a_coefficient(p, q)
-            if not a.is_zero():
-                acc = acc + a * powers[q]
-        if not acc.is_zero():
-            out[(1 - p,)] = acc
-    return out
-
-
-def _inv_pair_window(fgl, i):
-    """Window of 1 / (t +_L conj(x_i)) = u / (1 + r_i).
-
-    Each term of r_i has positive x-degree, and a term at u^j of the
-    result has weight equal to its x-degree minus j plus one.
-    """
-    inv = _geometric_inverse(fgl.ctx, _pair_factor_window(fgl, i))
-    return {(j + 1,): c for (j,), c in inv.items()}
-
-
-def _omega_inverse_window(fgl):
-    """Window of 1 / (1 + sum_{p>=1} a_{p,1} u^{-p}).
-
-    a_{p,1} has weight p, so p runs to the weight cap, and a term at u^j
-    of the result has weight -j.
-    """
-    ctx = fgl.ctx
-    g = {}
-    for p in range(1, ctx.m_weight_cap + 1):
-        a = fgl.a_coefficient(p, 1)
-        if not a.is_zero():
-            g[(-p,)] = a
-    return _geometric_inverse(ctx, g)
-
-
 def required_weight_cap(n, deg_bound, k_min):
     """Weight cap that keeps the window coefficients at u^k, k >= k_min, exact.
 
@@ -208,18 +122,6 @@ def required_weight_cap(n, deg_bound, k_min):
     return deg_bound + max(0, -k_min)
 
 
-def _denominator_inverse_window(fgl, n):
-    """Window of 1 / (omega-denominator * prod_i (t +_L conj(x_i))).
-
-    A term at u^j has weight equal to its x-degree minus j plus n, so
-    the truncation alone bounds the keys to n - W <= j <= D + n.
-    """
-    acc = _omega_inverse_window(fgl)
-    for i in range(1, n + 1):
-        acc = _mwmul(acc, _inv_pair_window(fgl, i))
-    return acc
-
-
 def _check_window_law(fgl):
     """The weight cap bounds a window only if every a_{p,q} has weight
     p + q - 1 (a custom law's log coefficients have weight 0), and F(u, v)
@@ -230,6 +132,39 @@ def _check_window_law(fgl):
     if fgl.ctx.m_weight_cap > MAX_WINDOW_CAP:
         raise WindowExhausted("windows need m_weight_cap <= %d (context has %d)"
                               % (MAX_WINDOW_CAP, fgl.ctx.m_weight_cap))
+
+
+def _segre_parts(fgl, n):
+    """{k: S_k} for every k the truncation keeps, read off S at t = 1.
+
+    omega(1) = 1 + sum_p a_{p,1} and F(1, y) = 1 + y + sum a_{p,q} y^q
+    with y = conj(x_i): a_{p,q} has weight p + q - 1, so p runs to the
+    weight cap W and q to D.  Each factor is inverted on its own, which
+    is several times faster than inverting their product.
+    """
+    ctx = fgl.ctx
+    D, W = ctx.deg_bound, ctx.m_weight_cap
+    one = Series.const(ctx, 1)
+    omega = one
+    for p in range(1, W + 1):
+        omega = omega + fgl.a_coefficient(p, 1)
+    acc = omega.invert_unit()
+    for i in range(1, n + 1):
+        xb = fgl.x_inverse(i)
+        powers = [None, xb]
+        while len(powers) <= D:
+            powers.append(powers[-1] * xb)
+        factor = one + xb
+        for p in range(1, W + 1):
+            for q in range(1, min(D, W + 1 - p) + 1):
+                a = fgl.a_coefficient(p, q)
+                if not a.is_zero():
+                    factor = factor + a * powers[q]
+        acc = acc * factor.invert_unit()
+    parts = {}
+    for key, c in acc.terms.items():
+        parts.setdefault(ctx.key_total_degree(key), {})[key] = c
+    return {k: Series(ctx, terms, acc.bound) for k, terms in parts.items()}
 
 
 def segre_series(fgl, n, k_min, k_max):
@@ -254,9 +189,7 @@ def segre_series(fgl, n, k_min, k_max):
         raise WindowExhausted(
             "window needs m_weight_cap >= %d (context has %d)"
             % (need, ctx.m_weight_cap))
-    inv = _denominator_inverse_window(fgl, n)
-    coeffs = {j - n: c for (j,), c in inv.items()}
-    return LaurentWindow(ctx, "u", k_min, k_max, coeffs)
+    return LaurentWindow(ctx, "u", k_min, k_max, _segre_parts(fgl, n))
 
 
 def _aux_layers(fgl, f, aux):
@@ -279,35 +212,68 @@ def _aux_layers(fgl, f, aux):
     return dict(f)
 
 
+def _extract(ctx, poly, segre, n):
+    """[t_1^{n-1} ... t_r^{n-1}] (poly(t) * prod_i S(1/t_i)).
+
+    ``poly`` maps exponent tuples E to coefficients, ``segre`` maps k to
+    S_k; the answer is sum_E poly[E] * prod_i S_{E_i + 1 - n}.
+    """
+    out = None
+    for es, c in poly.items():
+        for e in es:
+            s = segre.get(e + 1 - n)
+            if s is None:
+                break
+            c = c * s
+        else:
+            if not c.is_zero():
+                out = c if out is None else out + c
+    return out if out is not None and not out.is_zero() else Series.zero(ctx)
+
+
 def projective_residue(fgl, f, n, var="s"):
     """Residue at the origin of f(t) dt / (omega-unit * prod (t +_L conj x_i)).
 
     ``f`` is either a polynomial in the auxiliary variable ``var`` with
     x-free coefficients, or a dict {exponent: coefficient Series} (needed
     when the t-degree exceeds the context degree bound).  Expansion is at
-    infinity (every x_i / t small): the answer is the u^1 coefficient of
-    f(1/u) * window.
+    infinity (every x_i / t small): the residue of t^e is S_{e+1-n}, so
+    the answer is sum_e f_e * S_{e+1-n}.
     """
     _check_window_law(fgl)
     if not isinstance(f, Series):
         f = {(e,): c for e, c in f.items()}
-    fw = {(-e,): c for (e,), c in _aux_layers(fgl, f, (var,)).items()
-          if not c.is_zero()}
-    out = _mwmul(fw, _denominator_inverse_window(fgl, n), (1,), (1,))
-    return out.get((1,), Series.zero(fgl.ctx))
+    return _extract(fgl.ctx, _aux_layers(fgl, f, (var,)),
+                    _segre_parts(fgl, n), n)
 
 
 # ---------------------------------------------------------------------------
 # multivariate windows (Darondeau-Pragacz extraction)
 
 
+def _mwmul(A, B, top):
+    """Product of two polynomials keyed by exponent tuples, dropping every
+    key with an exponent above ``top``."""
+    out = {}
+    for ja, a in A.items():
+        for jb, b in B.items():
+            j = tuple(x + y for x, y in zip(ja, jb))
+            if max(j) > top:
+                continue
+            p = a * b
+            if p.is_zero():
+                continue
+            out[j] = out[j] + p if j in out else p
+    return {j: c for j, c in out.items() if not c.is_zero()}
+
+
 def _tsum_window(fgl, pos_i, pos_j, r):
-    """(t_j +_L conj(t_i)) as an r-variable window (components <= 0): the
-    u^p v^q coefficient of F(u, conj v) sits at t_j^p t_i^q."""
+    """(t_j +_L conj(t_i)) as a polynomial in r variables: the u^p v^q
+    coefficient of F(u, conj v) sits at t_j^p t_i^q."""
     out = {}
     for (p, q), c in fgl._f_table(conj_v=True).items():
         j = [0] * r
-        j[pos_i - 1], j[pos_j - 1] = -q, -p
+        j[pos_i - 1], j[pos_j - 1] = q, p
         out[tuple(j)] = c
     return out
 
@@ -325,32 +291,14 @@ def darondeau_pragacz_pushforward(fgl, f, r, n, var_prefix="s"):
     if r > n:
         raise ValueError("r exceeds n")
     aux = ["%s%d" % (var_prefix, i) for i in range(1, r + 1)]
-    # decompose f into a multivariate window with keys (-e_1, ..., -e_r)
-    fw = {}
-    fdeg = [0] * r
-    for es, c in _aux_layers(fgl, f, aux).items():
-        if c.is_zero():
-            continue
-        for i in range(r):
-            fdeg[i] = max(fdeg[i], es[i])
-        fw[tuple(-e for e in es)] = c
-    target = 1 - n
-    los = tuple(min(target - D - 2, -fdeg[i]) for i in range(r))
-    his = tuple(max(D, 0) for _ in range(r))
-
-    acc = fw
+    # S_k = 0 for k > D, so no exponent above D + n - 1 reaches the answer
+    top = D + n - 1
+    acc = _aux_layers(fgl, f, aux)
     for i in range(1, r + 1):
         for j in range(i + 1, r + 1):
-            acc = _mwmul(acc, _tsum_window(fgl, i, j, r), los, his)
-    seg = segre_series(fgl, n, target - D - 2, D)
-    for i in range(1, r + 1):
-        w = {}
-        for k, c in seg.coeffs.items():
-            key = [0] * r
-            key[i - 1] = k
-            w[tuple(key)] = c
-        acc = _mwmul(acc, w, los, his)
-    return acc.get((target,) * r, Series.zero(ctx))
+            acc = _mwmul(acc, _tsum_window(fgl, i, j, r), top)
+    seg = segre_series(fgl, n, -n - D - 1, D)
+    return _extract(ctx, acc, seg.coeffs, n)
 
 
 # ---------------------------------------------------------------------------

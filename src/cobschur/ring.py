@@ -762,9 +762,9 @@ class Series:
         return "<Series %s (bound %d)>" % (t, self.bound)
 
 
-def series_sum(ctx, items, bound=None):
+def series_sum(ctx, items):
     """Exact left-fold sum of the items, in order."""
-    acc = Series.zero(ctx, ctx.deg_bound if bound is None else bound)
+    acc = Series.zero(ctx)
     for s in items:
         acc = acc + s
     return acc

@@ -207,6 +207,24 @@ class TestSegre:
         assert doc["D"] == 0 and doc["coeffs"] == {
             "0": [{"den": "1", "exps": {}, "num": "1"}]}
 
+    # sha256 of the whole stdout: a change to how the windows are
+    # computed must not change a byte of what `segre` prints
+    @pytest.mark.parametrize("argv, digest", [
+        (("--n", "3", "--kmin", "-4", "--kmax", "5", "--mode", "universal"),
+         "8f92add2bbceaf6565c23d285bf734abeb0c6a1cadcf51f271fbd76bdc5a073c"),
+        (("--n", "3", "--kmin", "-4", "--kmax", "5", "--mode", "multiplicative"),
+         "c5dc69bb5ee9429c03241c0de6b84d77afbd42d0652e3f710a8d6a64c67c38ec"),
+        (("--n", "3", "--kmin", "-4", "--kmax", "5", "--mode", "additive"),
+         "25262c849c491f86e55af340e46f22f3ff8c268a4d143caa61025c4746499253"),
+        (("--n", "2", "--kmin", "-6", "--kmax", "4", "--deg", "4"),
+         "b7dda1df3cda9d6b18d2e0943acc06817944a1a4d8d92f102de7d50283da4517"),
+    ])
+    def test_window_json_is_pinned(self, capsys, argv, digest):
+        import hashlib
+        code, out, err = run(capsys, "segre", *argv)
+        assert code == EXIT_OK, err
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_custom_mode_rejected(self, capsys, tmp_path):
         path = tmp_path / "m.json"
         path.write_text(json.dumps({"m1": "1"}))

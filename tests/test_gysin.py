@@ -319,23 +319,31 @@ class TestDarondeauPragacz:
         with pytest.raises(ValueError, match="x-free"):
             darondeau_pragacz_pushforward(fgl, f, 1, n)
 
-    def test_extraction_matches_symmetrizer(self):
+    @staticmethod
+    def _against_symmetrizer(n, rr, D, exps):
         from cobschur import SymmetrizerSpec, symmetrize
-        n, rr, D = 3, 2, 3
         cap = min(required_weight_cap(n, D, 1 - n - D - 2), 63)
         wctx = RingContext(n_x=n, m_order=2, deg_bound=D, m_weight_cap=cap)
         wf = FormalGroupLaw(wctx, "universal")
-        exps = (3, 1)
         got = darondeau_pragacz_pushforward(
             wf, {exps: Series.const(wctx, 1)}, rr, n)
         sctx, sf = setup("universal", n, D=D)
-        num = Series.monomial(sctx, {"x1": 3, "x2": 1})
+        num = Series.monomial(sctx, {"x%d" % (i + 1): e
+                                     for i, e in enumerate(exps)})
         pairs = tuple((i, j) for i in range(1, rr + 1)
                       for j in range(i + 1, n + 1))
         spec = SymmetrizerSpec.full(n, pairs)
         direct = symmetrize(sf, num, spec)
         assert series_match(got, direct, deg=min(D, direct.bound),
                             wcap=sctx.m_weight_cap)[0]
+
+    def test_extraction_matches_symmetrizer(self):
+        self._against_symmetrizer(3, 2, 3, (3, 1))
+
+    @pytest.mark.parametrize("n, D, exps", [
+        (3, 3, (2, 1, 0)), (3, 3, (3, 1, 0)), (4, 2, (3, 2, 1))])
+    def test_three_variable_extraction_matches_symmetrizer(self, n, D, exps):
+        self._against_symmetrizer(n, 3, D, exps)
 
     def test_multi_term_polynomial_with_parameters(self):
         # f = 3 t1^3 t2 - (1/2) b1 t1^2 t2^2 pushes forward linearly and

@@ -444,3 +444,50 @@ def test_product_matches_reference(data):
     a = a.truncate(data.draw(st.integers(0, ctx.deg_bound)))
     assert same_series(a * b, reference_mul(a, b))
     assert same_series(b * a, reference_mul(a, b))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_invert_unit_matches_sympy(data):
+    # the inverse of c0 * (1 + g) is (1/c0) * sum_s (-g)^s, summed and
+    # truncated to x-degree <= D and weight <= W in sympy
+    import sympy
+    D = data.draw(st.integers(2, 4))
+    W = data.draw(st.integers(0, D - 1))
+    ctx = RingContext(n_x=2, n_b=1, m_order=2, deg_bound=D,
+                      scalars=("beta",), m_weight_cap=W)
+    names = ("x1", "x2", "b1", "m1", "m2", "beta")
+    terms = {0: data.draw(COEFFS)}
+    for _ in range(data.draw(st.integers(1, 5))):
+        # a product of one to three generators, so g has low-degree terms
+        # and the geometric series runs long
+        exps = dict.fromkeys(names, 0)
+        for nm in data.draw(st.lists(st.sampled_from(names), min_size=1,
+                                     max_size=3)):
+            exps[nm] += 1
+        deg = exps["x1"] + exps["x2"] + exps["b1"]
+        weight = exps["m1"] + 2 * exps["m2"] + exps["beta"]
+        if deg > D or weight > W:
+            continue
+        key = ctx.key_from_exps(exps)
+        terms[key] = _normalize_coeff(terms.get(key, 0) + data.draw(COEFFS))
+    f = Series(ctx, {k: c for k, c in terms.items() if c}, D)
+
+    symbols = [sympy.Symbol(nm) for nm in names]
+
+    def truncated(expr):
+        poly = sympy.Poly(sympy.expand(expr), *symbols)
+        return sum((c * sympy.prod(s ** e for s, e in zip(symbols, es))
+                    for es, c in poly.terms()
+                    if es[0] + es[1] + es[2] <= D
+                    and es[3] + 2 * es[4] + es[5] <= W), sympy.Integer(0))
+
+    c0 = sympy.Rational(Fraction(terms[0]).numerator, Fraction(terms[0]).denominator)
+    neg_g = truncated(-(to_sympy(f) / c0 - 1))
+    power, want = sympy.Integer(1), sympy.Integer(1)
+    for _ in range(D + W):
+        power = truncated(power * neg_g)
+        want += power
+    got = f.invert_unit()
+    assert got.bound == D
+    assert sympy.expand(to_sympy(got) - want / c0) == 0
